@@ -18,6 +18,7 @@ from fairaudit.attack import (
     loss_ratio,
     sim_preset,
     stability_gap,
+    trace_batch,
     unfair_map,
     unfair_map_batch,
 )

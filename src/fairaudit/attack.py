@@ -142,46 +142,50 @@ def flow_field(model, metric: FairMetric, lam: float, x, x0, y):
 
 
 def unfair_map(model, metric: FairMetric, cfg: AttackConfig, x0, y, record_trace: bool = False):
-    """Run the Euler attack from a single point; returns (x_final, trace or None)."""
+    """Run the Euler attack from a single point; returns (x_final, trace or None).
+
+    This is ``unfair_map_batch`` on a batch of one, so single-sample and
+    batched attacks share one Euler loop.
+    """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1 or not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be a finite 1-D point")
+    xb = x0[None, :]
+    yb = np.full(1, y, dtype=np.float64)
+    if not record_trace:
+        x, _ = unfair_map_batch(model, metric, cfg, xb, yb)
+        return x[0], None
+    iterates, losses, penalties = trace_batch(model, metric, cfg, xb, yb)
     steps = cfg.step_sizes()
-    x = x0.copy()
-    trace = None
-    if record_trace:
-        iterates = np.empty((len(steps) + 1, x0.shape[0]))
-        losses = np.empty(len(steps) + 1)
-        penalties = np.empty(len(steps) + 1)
-        iterates[0] = x
-        losses[0] = model.loss(x, y)
-        penalties[0] = cfg.lam * metric.distance_sq(x, x0)
-    for k, eta in enumerate(steps, start=1):
-        x = x + eta * flow_field(model, metric, cfg.lam, x, x0, y)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x - x0) > DIVERGENCE_RADIUS:
-            raise DivergenceError(f"attack diverged at step {k}")
-        if record_trace:
-            iterates[k] = x
-            losses[k] = model.loss(x, y)
-            penalties[k] = cfg.lam * metric.distance_sq(x, x0)
-    if record_trace:
-        trace = AttackTrace(
-            iterates=iterates,
-            losses=losses,
-            penalties=penalties,
-            step_sizes=steps,
-            horizon=float(np.sum(steps)),
-        )
-    return x, trace
+    trace = AttackTrace(
+        iterates=iterates[:, 0],
+        losses=losses[:, 0],
+        penalties=penalties[:, 0],
+        step_sizes=steps,
+        horizon=float(np.sum(steps)),
+    )
+    return trace.iterates[-1].copy(), trace
 
 
-def unfair_map_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_divergent: bool = False):
+def unfair_map_batch(
+    model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_divergent: bool = False, keep_steps=None
+):
     """Vectorized attack over an (n, d) batch of independent samples.
 
     Returns ``(x_final, divergent)`` where ``divergent`` is the sorted list
     of sample indices whose iterates blew up.  Diverged samples are frozen
     at their last finite iterate; unless ``skip_divergent`` is set, any
     divergence raises instead.
+
+    ``keep_steps`` is an optional non-decreasing sequence of step counts in
+    ``[0, num_steps]``.  When given, a third element is returned: an array
+    of shape ``(len(keep_steps), n, d)`` whose slice j is the state after
+    ``keep_steps[j]`` steps (``x0`` for 0).
+
+    Each step updates the whole state at once; a mask that freezes the
+    diverged rows exists only after the first divergence.  The model sees
+    the full batch every step, so it may carry per-row parameters
+    (``sim.sweep_heatmap`` stacks grid cells this way).
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2:
@@ -189,25 +193,65 @@ def unfair_map_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_d
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (x0.shape[0],):
         raise ValueError("y must be a 1-D array matching x0")
+    steps = cfg.step_sizes()
+    keep = [] if keep_steps is None else [int(k) for k in keep_steps]
+    if any(not 0 <= k <= len(steps) for k in keep) or any(b < a for a, b in zip(keep, keep[1:])):
+        raise ValueError("keep_steps must be non-decreasing step counts within num_steps")
+    kept = np.empty((len(keep), *x0.shape))
+    # kept[bounds[k]:bounds[k + 1]] are the slots that ask for step k
+    bounds = np.searchsorted(keep, np.arange(len(steps) + 2)).tolist()
+
     x = x0.copy()
-    alive = np.ones(x0.shape[0], dtype=bool)
+    kept[bounds[0] : bounds[1]] = x
+    moved = np.empty_like(x0)
+    dead = None
     divergent: list[int] = []
-    for k, eta in enumerate(cfg.step_sizes(), start=1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        xa = x[idx]
-        xa = xa + eta * flow_field(model, metric, cfg.lam, xa, x0[idx], y[idx])
-        bad = ~np.all(np.isfinite(xa), axis=1) | (np.linalg.norm(xa - x0[idx], axis=1) > DIVERGENCE_RADIUS)
-        if np.any(bad):
-            bad_idx = idx[bad]
-            if not skip_divergent:
-                raise DivergenceError(f"attack diverged at step {k} on sample {int(bad_idx[0])}")
-            divergent.extend(int(i) for i in bad_idx)
-            alive[bad_idx] = False
-        good = idx[~bad]
-        x[good] = xa[~bad]
-    return x, sorted(divergent)
+    # overflow in a diverging row is detected below, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, eta in enumerate(steps, start=1):
+            x_next = flow_field(model, metric, cfg.lam, x, x0, y)
+            x_next *= eta
+            x_next += x
+            np.subtract(x_next, x0, out=moved)
+            # NaN and inf fail the comparison too
+            bad = ~(np.einsum("ij,ij->i", moved, moved) <= DIVERGENCE_RADIUS**2)
+            if dead is not None:
+                bad &= ~dead
+            if np.any(bad):
+                bad_idx = np.flatnonzero(bad)
+                if not skip_divergent:
+                    raise DivergenceError(f"attack diverged at step {k} on sample {int(bad_idx[0])}")
+                divergent.extend(bad_idx.tolist())
+                dead = bad if dead is None else dead | bad
+            if dead is not None:
+                np.copyto(x_next, x, where=dead[:, None])
+            x = x_next
+            kept[bounds[k] : bounds[k + 1]] = x
+            if dead is not None and np.all(dead):
+                kept[bounds[k + 1] :] = x
+                break
+    divergent.sort()
+    return (x, divergent) if keep_steps is None else (x, divergent, kept)
+
+
+def trace_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y):
+    """Record the attack on every row of an (n, d) batch; any divergence raises.
+
+    Returns ``(iterates, losses, penalties)`` of shapes ``(N+1, n, d)``,
+    ``(N+1, n)`` and ``(N+1, n)``: iterate k is the state after k steps,
+    ``losses[k]`` the clamped model loss there and ``penalties[k]`` is
+    lam * d^2(x_k, x_0).  Each step's values come from one call on the
+    whole batch, so a batch of one gives exactly the single-point values.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    _, _, iterates = unfair_map_batch(model, metric, cfg, x0, y, keep_steps=range(cfg.num_steps + 1))
+    losses = np.empty(iterates.shape[:2])
+    penalties = np.empty(iterates.shape[:2])
+    for k, xk in enumerate(iterates):
+        losses[k] = model.loss(xk, y)
+        penalties[k] = cfg.lam * metric.distance_sq(xk, x0)
+    return iterates, losses, penalties
 
 
 def loss_ratio(model, metric: FairMetric, cfg: AttackConfig, x0, y) -> float:

@@ -22,8 +22,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import inference, sim
-from .attack import AttackConfig, DivergenceError, unfair_map
+# bench/traced_cli.py patches the ``unfair_map`` binding of this module
+from .attack import AttackConfig, DivergenceError, trace_batch, unfair_map  # noqa: F401
 from .dataset import atomic_write_text, load_csv, save_csv, split_csv
 from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
 from .inference import NoBaselineErrors
@@ -36,20 +39,24 @@ EXIT_ERROR = 10
 
 @dataclass(frozen=True)
 class _Key:
+    """One config key.  ``kind`` is ``bool`` or ``int`` for keys whose values must be
+    JSON booleans or integral numbers; other keys are checked where they are used."""
+
     default: object = None
     required: bool = False
+    kind: type | None = None
 
 
 _DATA_KEYS = {
     "data": _Key(required=True),
     "label_column": _Key(required=True),
     "protected_columns": _Key(default=[]),
-    "standardize": _Key(default=False),
+    "standardize": _Key(default=False, kind=bool),
 }
 
 _ATTACK_KEYS = {
     "lam": _Key(default=50.0),
-    "num_steps": _Key(default=500),
+    "num_steps": _Key(default=500, kind=int),
     "schedule": _Key(default="constant"),
     "eta": _Key(default=0.01),
     "decay_c": _Key(default=0.02),
@@ -62,18 +69,18 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "train_output": _Key(required=True),
         "audit_output": _Key(required=True),
         "train_fraction": _Key(default=0.8),
-        "seed": _Key(default=0),
+        "seed": _Key(default=0, kind=int),
     },
     "train": {
         **_DATA_KEYS,
         "architecture": _Key(default="logistic"),
-        "hidden_units": _Key(default=50),
+        "hidden_units": _Key(default=50, kind=int),
         "activation": _Key(default="tanh"),
         "learning_rate": _Key(default=0.1),
-        "batch_size": _Key(default=64),
-        "num_steps": _Key(default=2000),
-        "class_reweight": _Key(default=True),
-        "seed": _Key(default=0),
+        "batch_size": _Key(default=64, kind=int),
+        "num_steps": _Key(default=2000, kind=int),
+        "class_reweight": _Key(default=True, kind=bool),
+        "seed": _Key(default=0, kind=int),
         "projector_metric": _Key(default=None),
         "model_output": _Key(required=True),
     },
@@ -82,12 +89,12 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "data": _Key(default=None),
         "label_column": _Key(default=None),
         "protected_columns": _Key(default=[]),
-        "standardize": _Key(default=False),
+        "standardize": _Key(default=False, kind=bool),
         "rank_tol": _Key(default=1e-8),
         "learning_rate": _Key(default=0.5),
-        "batch_size": _Key(default=64),
-        "num_steps": _Key(default=3000),
-        "seed": _Key(default=0),
+        "batch_size": _Key(default=64, kind=int),
+        "num_steps": _Key(default=3000, kind=int),
+        "seed": _Key(default=0, kind=int),
         "beta_degrees": _Key(default=None),
         "metric_output": _Key(required=True),
     },
@@ -98,28 +105,28 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         **_ATTACK_KEYS,
         "alpha": _Key(default=0.05),
         "delta": _Key(default=1.25),
-        "skip_divergent": _Key(default=False),
-        "error_rate": _Key(default=True),
-        "threads": _Key(default=1),
+        "skip_divergent": _Key(default=False, kind=bool),
+        "error_rate": _Key(default=True, kind=bool),
+        "threads": _Key(default=1, kind=int),
         "report_output": _Key(required=True),
         "samples_output": _Key(default=None),
         "trace_output": _Key(default=None),
     },
     "simulate": {
-        "n_samples": _Key(default=400),
+        "n_samples": _Key(default=400, kind=int),
         "minority_prob": _Key(default=0.1),
         "group_means": _Key(default=[[-1.5, 0.0], [1.5, 0.0]]),
         "noise_sd": _Key(default=0.25),
         "label_weights": _Key(default=[[-0.2, -0.01], [0.2, -0.01]]),
         "label_noise_var": _Key(default=1e-4),
-        "seed": _Key(default=7),
+        "seed": _Key(default=7, kind=int),
         "data_output": _Key(required=True),
     },
     "sweep": {
         **_DATA_KEYS,
         **_ATTACK_KEYS,
         "lam": _Key(default=100.0),
-        "num_steps": _Key(default=400),
+        "num_steps": _Key(default=400, kind=int),
         "schedule": _Key(default="decay"),
         "beta_degrees": _Key(default=0.0),
         "alpha": _Key(default=0.05),
@@ -148,19 +155,19 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         **_DATA_KEYS,
         **_ATTACK_KEYS,
         "scales": _Key(required=True),
-        "perturb_seed": _Key(default=0),
+        "perturb_seed": _Key(default=0, kind=int),
         "output": _Key(required=True),
     },
     "calibrate": {
-        "n": _Key(default=500),
-        "coverage_replicates": _Key(default=1000),
-        "replicates": _Key(default=200),
+        "n": _Key(default=500, kind=int),
+        "coverage_replicates": _Key(default=1000, kind=int),
+        "replicates": _Key(default=200, kind=int),
         "alpha": _Key(default=0.05),
         "delta": _Key(default=1.25),
         "coverage_mean": _Key(default=2.0),
         "sd": _Key(default=0.5),
         "shape": _Key(default=4.0),
-        "seed": _Key(default=1),
+        "seed": _Key(default=1, kind=int),
         "output": _Key(required=True),
     },
 }
@@ -178,12 +185,25 @@ def _parse_config(path, command: str) -> dict:
     out = {}
     for key, spec in schema.items():
         if key in doc:
+            _check_kind(command, key, spec.kind, doc[key])
             out[key] = doc[key]
         elif spec.required:
             raise ValueError(f"{command}: missing required config key {key!r}")
         else:
             out[key] = spec.default
     return out
+
+
+def _check_kind(command: str, key: str, kind: type | None, value) -> None:
+    # bool is a subclass of int, so it is excluded from the integral check
+    if kind is bool and not isinstance(value, bool):
+        raise ValueError(f"{command}: config key {key!r} must be true or false, got {value!r}")
+    if kind is int and (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ValueError(f"{command}: config key {key!r} must be an integer, got {value!r}")
 
 
 def _check_levels(cfg: dict) -> None:
@@ -209,7 +229,7 @@ def _load_dataset(cfg: dict):
         cfg["data"],
         label_column=cfg["label_column"],
         protected_columns=tuple(cfg["protected_columns"]),
-        standardize=bool(cfg["standardize"]),
+        standardize=cfg["standardize"],
     )
 
 
@@ -230,7 +250,7 @@ def run_train(cfg: dict) -> int:
         learning_rate=float(cfg["learning_rate"]),
         batch_size=int(cfg["batch_size"]),
         num_steps=int(cfg["num_steps"]),
-        class_reweight=bool(cfg["class_reweight"]),
+        class_reweight=cfg["class_reweight"],
         seed=int(cfg["seed"]),
         preprocess_projector=projector,
         hidden_units=int(cfg["hidden_units"]),
@@ -267,6 +287,39 @@ def run_metric(cfg: dict) -> int:
     return EXIT_OK
 
 
+class _TraceJsonl:
+    """The JSONL trace of an audit: one record per sample and step, sample-major.
+
+    Iterating yields one chunk per sample, formatted while the file is
+    written.  Each record is the line ``json.dumps(record, sort_keys=True)``
+    gives, spelled out directly: floats and lists of floats use ``repr``,
+    which matches ``json`` for finite values only, so every value must be
+    finite.  ``len`` is the number of chunks, so the object can be measured
+    like the strings ``atomic_write_text`` also takes.
+    """
+
+    def __init__(self, index, iterates, losses, penalties):
+        if not all(np.all(np.isfinite(a)) for a in (iterates, losses, penalties)):
+            raise ValueError("audit: trace holds non-finite values")
+        self.index = index
+        self.iterates = iterates
+        self.losses = losses
+        self.penalties = penalties
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self):
+        for j, sample in enumerate(self.index.tolist()):
+            rows = zip(self.losses[:, j].tolist(), self.penalties[:, j].tolist(), self.iterates[:, j].tolist())
+            yield "".join(
+                [
+                    f'{{"loss": {loss!r}, "penalty": {penalty!r}, "sample": {sample}, "step": {k}, "x": {x!r}}}\n'
+                    for k, (loss, penalty, x) in enumerate(rows)
+                ]
+            )
+
+
 def run_audit(cfg: dict) -> int:
     _check_levels(cfg)
     model = load_model(cfg["model"])
@@ -281,31 +334,16 @@ def run_audit(cfg: dict) -> int:
         ds.labels,
         alpha=float(cfg["alpha"]),
         delta=float(cfg["delta"]),
-        skip_divergent=bool(cfg["skip_divergent"]),
-        include_error_rate=bool(cfg["error_rate"]),
+        skip_divergent=cfg["skip_divergent"],
+        include_error_rate=cfg["error_rate"],
         threads=int(cfg["threads"]),
     )
     atomic_write_text(cfg["report_output"], report.to_json(extra={"config": cfg}))
     if cfg["samples_output"] is not None:
         atomic_write_text(cfg["samples_output"], report.samples_csv())
     if cfg["trace_output"] is not None:
-        lines = []
-        for i in report.index:
-            _, trace = unfair_map(model, metric, attack_cfg, ds.features[i], float(ds.labels[i]), record_trace=True)
-            for k in range(trace.iterates.shape[0]):
-                lines.append(
-                    json.dumps(
-                        {
-                            "sample": int(i),
-                            "step": k,
-                            "x": trace.iterates[k].tolist(),
-                            "loss": float(trace.losses[k]),
-                            "penalty": float(trace.penalties[k]),
-                        },
-                        sort_keys=True,
-                    )
-                )
-        atomic_write_text(cfg["trace_output"], "\n".join(lines) + "\n")
+        traced = trace_batch(model, metric, attack_cfg, ds.features[report.index], ds.labels[report.index])
+        atomic_write_text(cfg["trace_output"], _TraceJsonl(report.index, *traced))
     verdict = "reject" if report.reject else "fail to reject"
     print(f"audit: n={report.n} s_n={report.s_n:.6g} t_n={report.t_n:.6g} delta={report.delta} -> {verdict}")
     return EXIT_REJECT if report.reject else EXIT_OK

@@ -6,7 +6,8 @@ and are never part of them, so models cannot see them while metric
 learning still can.
 
 CSV files must have a header row.  Rows containing a missing cell (empty
-string, ``NA``, ``NaN``, ``nan`` or ``?``) are dropped during loading.
+string, ``NA``, ``NaN``, ``nan`` or ``?``) are dropped during loading;
+infinite cells such as ``inf`` are errors.
 """
 
 from __future__ import annotations
@@ -21,13 +22,20 @@ import numpy as np
 MISSING_TOKENS = {"", "na", "nan", "?"}
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write a file via temp-then-rename so partial output is never visible."""
+def atomic_write_text(path, text) -> None:
+    """Write a file via temp-then-rename so partial output is never visible.
+
+    ``text`` is a string or an iterable of string chunks, written in order
+    as they are produced, so large outputs need not be held in memory.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,6 +128,10 @@ def load_csv(path, label_column: str, protected_columns=(), standardize: bool = 
                 raise ValueError(
                     f"{path}:{lineno}: non-numeric {kind} cell {row[j]!r} in column {name!r}"
                 ) from None
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            lineno, row = rows[bad[0]]
+            raise ValueError(f"{path}:{lineno}: non-finite {kind} cell {row[j]!r} in column {name!r}")
         return out
 
     features = np.column_stack([parse(name, "feature") for name in feature_names]) if feature_names else np.empty(

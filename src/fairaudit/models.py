@@ -44,11 +44,10 @@ LOSS_CAP = -np.log(P_FLOOR)
 def expit(z):
     """Numerically stable logistic function exp(z) / (1 + exp(z))."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so it never overflows
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    out = np.where(z >= 0, 1.0 / d, e / d)
     return out if out.ndim else float(out)
 
 

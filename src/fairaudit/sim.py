@@ -41,13 +41,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import inference
-from .attack import AttackConfig, DivergenceError, constant_config_for_horizon, unfair_map_batch
+from .attack import AttackConfig, constant_config_for_horizon, unfair_map_batch
 from .dataset import Dataset
 from .fair_metric import FairMetric
 from .linalg import spectral_norm
-from .models import LogisticModel, expit
+from .models import _check_labels, expit, loss_from_logit
 
 BIAS_CLAMP = 50.0
+# rows of the stacked (cell, sample) state that one attack call advances together
+SWEEP_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,28 @@ class HeatmapCell:
     divergent: bool = False
 
 
+@dataclass(frozen=True)
+class StackedLogistic:
+    """One logistic model per row: row i has logit ``weights[i] . x_i + bias[i]``.
+
+    It has the ``loss``/``input_gradient`` pair the attack needs, for
+    batches with exactly one row per stacked model, so the cells of a sweep
+    can be attacked as one state.
+    """
+
+    weights: np.ndarray  # (m, d)
+    bias: np.ndarray  # (m,)
+
+    def _logits(self, x):
+        return np.einsum("ij,ij->i", x, self.weights) + self.bias
+
+    def loss(self, x, y):
+        return loss_from_logit(self._logits(x), y)
+
+    def input_gradient(self, x, y):
+        return (expit(self._logits(x)) - y)[:, None] * self.weights
+
+
 def sweep_heatmap(
     features,
     labels,
@@ -191,21 +215,34 @@ def sweep_heatmap(
 
     Cells are emitted in row-major order (outer loop over theta1).  Cells
     whose attack diverges are flagged rather than aborting the sweep.
+
+    Every (cell, sample) pair is one row of a stacked state that the attack
+    advances in blocks of ``SWEEP_ROW_BLOCK`` rows; a cell is divergent if
+    any of its rows diverged.
     """
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
+    y = _check_labels(labels)
+    n = x.shape[0]
+    pairs = [(w1, w2) for w1 in grid.w1_values for w2 in grid.w2_values]
+    biases = [fit_bias(x, y, w1, w2) for w1, w2 in pairs]
+    cell_weights, cell_bias = np.array(pairs), np.array(biases)
+    total = len(pairs) * n
+    ratios = np.empty(total)
+    diverged = np.zeros(len(pairs), dtype=bool)
+    for lo in range(0, total, SWEEP_ROW_BLOCK):
+        cell, sample = np.divmod(np.arange(lo, min(lo + SWEEP_ROW_BLOCK, total)), n)
+        model = StackedLogistic(weights=cell_weights[cell], bias=cell_bias[cell])
+        x0, y0 = x[sample], y[sample]
+        attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x0, y0, skip_divergent=True)
+        ratios[lo : lo + len(cell)] = model.loss(attacked, y0) / model.loss(x0, y0)
+        diverged[cell[divergent]] = True
     cells = []
-    for w1 in grid.w1_values:
-        for w2 in grid.w2_values:
-            b = fit_bias(x, y, w1, w2)
-            model = LogisticModel(weights=np.array([w1, w2]), bias=b)
-            try:
-                attacked, _ = unfair_map_batch(model, metric, attack_cfg, x, y)
-                ratios = model.loss(attacked, y) / model.loss(x, y)
-                t_n, reject = inference.loss_ratio_test(ratios, alpha, delta)
-                cells.append(HeatmapCell(w1, w2, b, t_n, reject))
-            except DivergenceError:
-                cells.append(HeatmapCell(w1, w2, b, float("nan"), False, divergent=True))
+    for c, ((w1, w2), b) in enumerate(zip(pairs, biases)):
+        if diverged[c]:
+            cells.append(HeatmapCell(w1, w2, b, float("nan"), False, divergent=True))
+        else:
+            t_n, reject = inference.loss_ratio_test(ratios[c * n : (c + 1) * n], alpha, delta)
+            cells.append(HeatmapCell(w1, w2, b, t_n, reject))
     return cells
 
 
@@ -232,20 +269,20 @@ def stopping_time_sweep(
 
     Horizons must be non-decreasing.  Each horizon is realized as a
     constant-step Euler run whose step count best matches it; the returned
-    pairs carry the realized horizon.
+    pairs carry the realized horizon.  The runs share their prefix, so one
+    pass to the longest horizon keeps the iterate at each step count.
     """
     hs = [float(h) for h in horizons]
     if not hs or any(h < 0 for h in hs) or any(b < a for a, b in zip(hs, hs[1:])):
         raise ValueError("horizons must be non-negative and non-decreasing")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    out = []
-    for h in hs:
-        cfg = constant_config_for_horizon(lam, h, eta)
-        attacked, _ = unfair_map_batch(model, metric, cfg, x, y)
-        ratios = model.loss(attacked, y) / model.loss(x, y)
-        out.append((cfg.horizon, inference.one_sided_lower_bound(ratios, alpha)))
-    return out
+    cfgs = [constant_config_for_horizon(lam, h, eta) for h in hs]
+    _, _, kept = unfair_map_batch(model, metric, cfgs[-1], x, y, keep_steps=[c.num_steps for c in cfgs])
+    base = model.loss(x, y)
+    return [
+        (c.horizon, inference.one_sided_lower_bound(model.loss(xk, y) / base, alpha)) for c, xk in zip(cfgs, kept)
+    ]
 
 
 def stopping_csv(rows) -> str:

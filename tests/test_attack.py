@@ -322,3 +322,51 @@ class TestStability:
         # x(t) = 2 + (x0 - 2) e^{-2t}
         for t in (0.0, 0.3, 1.7):
             assert prob.exact(t)[0] == pytest.approx(2.0 + 1.0 * math.exp(-2.0 * t), rel=1e-12)
+
+
+class TestKeepSteps:
+    @pytest.mark.parametrize(
+        "cfg", [sim_preset(), AttackConfig(lam=3.0, num_steps=40, eta=0.02)], ids=["decay", "constant"]
+    )
+    def test_kept_iterates_equal_shorter_runs(self, sim_dataset, unfair_sim_model, cfg):
+        x, y = sim_dataset.features[:50], sim_dataset.labels[:50].astype(float)
+        metric = rotated_coordinate_metric(0.3)
+        keep = [0, 1, 1, cfg.num_steps // 2, cfg.num_steps]
+        final, divergent, kept = unfair_map_batch(unfair_sim_model, metric, cfg, x, y, keep_steps=keep)
+        assert divergent == [] and kept.shape == (len(keep), *x.shape)
+        assert_array_equal(kept[0], x)
+        assert_array_equal(kept[-1], final)
+        for k, xk in zip(keep, kept):
+            shorter = AttackConfig(
+                lam=cfg.lam, num_steps=k, schedule=cfg.schedule, eta=cfg.eta, decay_c=cfg.decay_c, decay_p=cfg.decay_p
+            )
+            ref, _ = unfair_map_batch(unfair_sim_model, metric, shorter, x, y)
+            assert_array_equal(xk, ref)
+
+    @pytest.mark.parametrize("keep", [[-1], [11], [5, 2]])
+    def test_invalid_keep_steps(self, keep):
+        m = LogisticModel(weights=np.array([1.0]), bias=0.0)
+        cfg = AttackConfig(lam=1.0, num_steps=10)
+        with pytest.raises(ValueError, match="keep_steps"):
+            unfair_map_batch(m, FairMetric(sigma=np.eye(1)), cfg, np.zeros((2, 1)), np.ones(2), keep_steps=keep)
+
+    def test_frozen_rows_are_kept_after_every_row_diverged(self):
+        stub = SplitFieldStub(k=100.0)
+        cfg = AttackConfig(lam=0.01, num_steps=400, schedule="constant", eta=0.05)
+        x0 = np.array([[1.0], [2.0]])
+        final, divergent, kept = unfair_map_batch(
+            stub, FairMetric(sigma=np.eye(1)), cfg, x0, np.zeros(2), skip_divergent=True, keep_steps=[0, 200, 400]
+        )
+        assert divergent == [0, 1]
+        # each row stays at its last iterate within the divergence radius
+        for row, start in enumerate(x0[:, 0]):
+            x = start
+            while True:
+                nxt = x + 0.05 * (100.0 * x - 0.01 * (2.0 * (x - start)))
+                if abs(nxt - start) > 1e6:
+                    break
+                x = nxt
+            assert final[row, 0] == x
+        assert_array_equal(kept[0], x0)
+        assert_array_equal(kept[1], final)
+        assert_array_equal(kept[2], final)

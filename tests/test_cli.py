@@ -329,3 +329,85 @@ class TestCalibrateCommand:
         lines = (tmp_path / "cal.csv").read_text().splitlines()
         assert lines[0] == "experiment,n,replicates,rate"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["coverage", "type1", "power"]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("skip_divergent", "false"),
+            ("error_rate", 0),
+            ("standardize", "no"),
+            ("num_steps", 2.9),
+            ("threads", True),
+            ("num_steps", "5"),
+        ],
+    )
+    def test_audit_key_of_wrong_type_exits_10(self, tmp_path, sim_csv, metric_file, capsys, key, value):
+        model = unfair_model_file(tmp_path, sim_csv)
+        cfg = audit_config(tmp_path, model, metric_file, sim_csv, **{key: value})
+        assert cli.main(["audit", "--config", cfg]) == 10
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("class_reweight", "true"), ("batch_size", 64.5), ("seed", None)])
+    def test_train_key_of_wrong_type_exits_10(self, tmp_path, sim_csv, capsys, key, value):
+        cfg = write_config(
+            tmp_path,
+            "train.json",
+            {"data": sim_csv, "label_column": "label", "protected_columns": ["group"], "num_steps": 10,
+             "model_output": str(tmp_path / "model.json"), key: value},
+        )
+        assert cli.main(["train", "--config", cfg]) == 10
+        assert repr(key) in capsys.readouterr().err
+
+    def test_integral_float_and_json_booleans_accepted(self, tmp_path, sim_csv, metric_file):
+        model = unfair_model_file(tmp_path, sim_csv)
+        cfg = audit_config(
+            tmp_path, model, metric_file, sim_csv, num_steps=5.0, skip_divergent=False, error_rate=True, threads=1
+        )
+        assert cli.main(["audit", "--config", cfg]) in (0, 3)
+
+
+class TestBatchedTrace:
+    def test_matches_per_sample_traces_and_samples_csv(self, tmp_path, sim_csv, metric_file):
+        from fairaudit.attack import sim_preset, unfair_map, unfair_map_batch
+        from fairaudit.dataset import load_csv
+
+        model_path = unfair_model_file(tmp_path, sim_csv)
+        preset = sim_preset()
+        cfg = audit_config(
+            tmp_path,
+            model_path,
+            metric_file,
+            sim_csv,
+            lam=preset.lam,
+            num_steps=preset.num_steps,
+            schedule=preset.schedule,
+            decay_c=preset.decay_c,
+            decay_p=preset.decay_p,
+            samples_output=str(tmp_path / "samples.csv"),
+            trace_output=str(tmp_path / "trace.jsonl"),
+        )
+        assert cli.main(["audit", "--config", cfg]) in (0, 3)
+        ds = load_csv(sim_csv, label_column="label", protected_columns=("group",))
+        model, metric = load_model(model_path), load_metric(metric_file)
+        steps = preset.num_steps + 1
+        records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+        assert len(records) == ds.n * steps
+        assert [(r["sample"], r["step"]) for r in records] == [(i, k) for i in range(ds.n) for k in range(steps)]
+        iterates = np.array([r["x"] for r in records]).reshape(ds.n, steps, 2)
+        losses = np.array([r["loss"] for r in records]).reshape(ds.n, steps)
+        penalties = np.array([r["penalty"] for r in records]).reshape(ds.n, steps)
+
+        for i in range(0, ds.n, 20):
+            _, trace = unfair_map(model, metric, preset, ds.features[i], float(ds.labels[i]), record_trace=True)
+            np.testing.assert_array_equal(iterates[i], trace.iterates)
+            np.testing.assert_array_equal(losses[i], trace.losses)
+            np.testing.assert_array_equal(penalties[i], trace.penalties)
+
+        phi, _ = unfair_map_batch(model, metric, preset, ds.features, ds.labels.astype(float))
+        np.testing.assert_array_equal(iterates[:, -1], phi)
+        rows = (tmp_path / "samples.csv").read_text().splitlines()[1:]
+        ratios = np.array([float(row.split(",")[1]) for row in rows])
+        np.testing.assert_array_equal(losses[:, -1] / losses[:, 0], ratios)

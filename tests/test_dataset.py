@@ -165,3 +165,27 @@ def test_atomic_write_replaces_content(tmp_path):
     atomic_write_text(target, "new contents\n")
     assert target.read_text() == "new contents\n"
     assert list(tmp_path.iterdir()) == [target]  # no stray temp files
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("a,b,label\n1.0,2.0,1\n3.0,inf,0\n", 3, "b"),
+        ("a,b,label\n-Infinity,2.0,1\n3.0,4.0,0\n", 2, "a"),
+        ("a,b,label\n1.0,2.0,1\n3.0,1e999,0\n", 3, "b"),
+    ],
+    ids=["inf", "minus-infinity", "overflow"],
+)
+def test_non_finite_cell_names_file_line_and_column(tmp_path, text, line, column):
+    path = write(tmp_path, text)
+    with pytest.raises(ValueError, match="non-finite") as info:
+        load_csv(path, label_column="label")
+    assert f"{path}:{line}:" in str(info.value)
+    assert repr(column) in str(info.value)
+
+
+def test_atomic_write_streams_chunks(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write_text(path, (f"line {i}\n" for i in range(3)))
+    assert path.read_text() == "line 0\nline 1\nline 2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

@@ -294,3 +294,73 @@ class TestCalibrationHelpers:
         text = sim.calibration_csv(rows)
         assert text.startswith("experiment,n,replicates,rate\n")
         assert "coverage,500,1000,0.95" in text
+
+
+def per_cell_sweep_reference(features, labels, grid, metric, cfg, alpha=0.05, delta=1.25):
+    """The sweep one cell at a time, each through its own LogisticModel attack."""
+    from fairaudit import inference
+
+    y = labels.astype(float)
+    cells = []
+    for w1 in grid.w1_values:
+        for w2 in grid.w2_values:
+            b = sim.fit_bias(features, y, w1, w2)
+            model = LogisticModel(weights=np.array([w1, w2]), bias=b)
+            try:
+                attacked, _ = attack.unfair_map_batch(model, metric, cfg, features, y)
+            except attack.DivergenceError:
+                cells.append(sim.HeatmapCell(w1, w2, b, float("nan"), False, divergent=True))
+                continue
+            ratios = model.loss(attacked, y) / model.loss(features, y)
+            t_n, reject = inference.loss_ratio_test(ratios, alpha, delta)
+            cells.append(sim.HeatmapCell(w1, w2, b, t_n, reject))
+    return cells
+
+
+class TestStackedSweep:
+    GRID = sim.GridSpec(w1_values=(-2.0, -1.0, 0.0, 1.0, 2.0), w2_values=(0.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [attack.sim_preset(), attack.AttackConfig(lam=100.0, num_steps=200, schedule="constant", eta=0.05)],
+        ids=["sim-preset", "unstable-step"],
+    )
+    def test_matches_per_cell_attacks(self, sim_dataset, true_metric, cfg):
+        x, y = sim_dataset.features, sim_dataset.labels
+        n_cells = len(self.GRID.w1_values) * len(self.GRID.w2_values)
+        assert n_cells * x.shape[0] > sim.SWEEP_ROW_BLOCK
+        got = sim.sweep_heatmap(x, y, self.GRID, true_metric, cfg)
+        want = per_cell_sweep_reference(x, y, self.GRID, true_metric, cfg)
+        assert [(c.theta1, c.theta2, c.fitted_bias, c.reject, c.divergent) for c in got] == [
+            (c.theta1, c.theta2, c.fitted_bias, c.reject, c.divergent) for c in want
+        ]
+        for g, w in zip(got, want):
+            if w.divergent:
+                assert math.isnan(g.t_n)
+            else:
+                assert g.t_n == pytest.approx(w.t_n, rel=1e-12, abs=0.0)
+        if cfg.schedule == "constant":
+            # the unstable step blows up every cell with theta2 != 0 and no other
+            assert [c.divergent for c in got] == [c.theta2 != 0.0 for c in got]
+
+    def test_rejects_non_binary_labels(self, sim_dataset, true_metric):
+        labels = sim_dataset.labels.astype(float) * 2.0
+        grid = sim.GridSpec(w1_values=(0.0,), w2_values=(0.0,))
+        with pytest.raises(ValueError, match="0 or 1"):
+            sim.sweep_heatmap(sim_dataset.features, labels, grid, true_metric, attack.sim_preset())
+
+
+class TestSinglePassStoppingSweep:
+    def test_bitwise_equal_to_independent_runs(self, sim_dataset, true_metric, unfair_sim_model):
+        from fairaudit import inference
+
+        x, y = sim_dataset.features, sim_dataset.labels.astype(float)
+        horizons = [0.0, 0.004, 0.3, 0.5, 0.5, 2.0]
+        rows = sim.stopping_time_sweep(unfair_sim_model, true_metric, x, y, horizons, lam=50.0, eta=0.01)
+        want = []
+        for h in horizons:
+            cfg = attack.constant_config_for_horizon(50.0, h, 0.01)
+            attacked, _ = attack.unfair_map_batch(unfair_sim_model, true_metric, cfg, x, y)
+            ratios = unfair_sim_model.loss(attacked, y) / unfair_sim_model.loss(x, y)
+            want.append((cfg.horizon, inference.one_sided_lower_bound(ratios, 0.05)))
+        assert rows == want
