@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Every command takes a single JSON config file (--config).  Config parsing
-is strict: unknown keys are errors, and all defaults are materialized so
-the values that actually ran can be embedded in outputs.  Outputs are
-written atomically (temp file, then rename) and are byte-identical across
-reruns with the same config.
+is strict and typed: unknown keys are errors, every key declares its JSON
+type and each value is validated and converted once, and all defaults are
+materialized so the values that actually ran can be embedded in outputs.
+Outputs are written atomically (temp file, then rename) and are
+byte-identical across reruns with the same config.
 
 Exit codes form a small protocol so shell pipelines can branch on the
 verdict:
@@ -20,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,138 +40,169 @@ EXIT_ERROR = 10
 
 @dataclass(frozen=True)
 class _Key:
-    """One config key.  ``kind`` is ``bool`` or ``int`` for keys whose values must be
-    JSON booleans or integral numbers; other keys are checked where they are used."""
+    """One config key: its JSON type and its default.
 
+    ``kind`` is ``bool``, ``int``, ``float`` or ``str``, or ``[kind]`` for a
+    JSON array of such values (parsed to a tuple).  ``null`` is accepted only
+    for optional keys whose default is ``None``.  Defaults are written as JSON
+    values and converted like given ones.
+    """
+
+    kind: type | list
     default: object = None
     required: bool = False
-    kind: type | None = None
 
 
 _DATA_KEYS = {
-    "data": _Key(required=True),
-    "label_column": _Key(required=True),
-    "protected_columns": _Key(default=[]),
-    "standardize": _Key(default=False, kind=bool),
+    "data": _Key(str, required=True),
+    "label_column": _Key(str, required=True),
+    "protected_columns": _Key([str], default=[]),
+    "standardize": _Key(bool, default=False),
 }
 
 _ATTACK_KEYS = {
-    "lam": _Key(default=50.0),
-    "num_steps": _Key(default=500, kind=int),
-    "schedule": _Key(default="constant"),
-    "eta": _Key(default=0.01),
-    "decay_c": _Key(default=0.02),
-    "decay_p": _Key(default=2.0 / 3.0),
+    "lam": _Key(float, default=50.0),
+    "num_steps": _Key(int, default=500),
+    "schedule": _Key(str, default="constant"),
+    "eta": _Key(float, default=0.01),
+    "decay_c": _Key(float, default=0.02),
+    "decay_p": _Key(float, default=2.0 / 3.0),
 }
 
 _SCHEMAS: dict[str, dict[str, _Key]] = {
     "split": {
-        "input": _Key(required=True),
-        "train_output": _Key(required=True),
-        "audit_output": _Key(required=True),
-        "train_fraction": _Key(default=0.8),
-        "seed": _Key(default=0, kind=int),
+        "input": _Key(str, required=True),
+        "train_output": _Key(str, required=True),
+        "audit_output": _Key(str, required=True),
+        "train_fraction": _Key(float, default=0.8),
+        "seed": _Key(int, default=0),
     },
     "train": {
         **_DATA_KEYS,
-        "architecture": _Key(default="logistic"),
-        "hidden_units": _Key(default=50, kind=int),
-        "activation": _Key(default="tanh"),
-        "learning_rate": _Key(default=0.1),
-        "batch_size": _Key(default=64, kind=int),
-        "num_steps": _Key(default=2000, kind=int),
-        "class_reweight": _Key(default=True, kind=bool),
-        "seed": _Key(default=0, kind=int),
-        "projector_metric": _Key(default=None),
-        "model_output": _Key(required=True),
+        "architecture": _Key(str, default="logistic"),
+        "hidden_units": _Key(int, default=50),
+        "activation": _Key(str, default="tanh"),
+        "learning_rate": _Key(float, default=0.1),
+        "batch_size": _Key(int, default=64),
+        "num_steps": _Key(int, default=2000),
+        "class_reweight": _Key(bool, default=True),
+        "seed": _Key(int, default=0),
+        "projector_metric": _Key(str, default=None),
+        "model_output": _Key(str, required=True),
     },
     "metric": {
-        "type": _Key(default="learned"),
-        "data": _Key(default=None),
-        "label_column": _Key(default=None),
-        "protected_columns": _Key(default=[]),
-        "standardize": _Key(default=False, kind=bool),
-        "rank_tol": _Key(default=1e-8),
-        "learning_rate": _Key(default=0.5),
-        "batch_size": _Key(default=64, kind=int),
-        "num_steps": _Key(default=3000, kind=int),
-        "seed": _Key(default=0, kind=int),
-        "beta_degrees": _Key(default=None),
-        "metric_output": _Key(required=True),
+        "type": _Key(str, default="learned"),
+        "data": _Key(str, default=None),
+        "label_column": _Key(str, default=None),
+        "protected_columns": _Key([str], default=[]),
+        "standardize": _Key(bool, default=False),
+        "rank_tol": _Key(float, default=1e-8),
+        "learning_rate": _Key(float, default=0.5),
+        "batch_size": _Key(int, default=64),
+        "num_steps": _Key(int, default=3000),
+        "seed": _Key(int, default=0),
+        "beta_degrees": _Key(float, default=None),
+        "metric_output": _Key(str, required=True),
     },
     "audit": {
-        "model": _Key(required=True),
-        "metric": _Key(required=True),
+        "model": _Key(str, required=True),
+        "metric": _Key(str, required=True),
         **_DATA_KEYS,
         **_ATTACK_KEYS,
-        "alpha": _Key(default=0.05),
-        "delta": _Key(default=1.25),
-        "skip_divergent": _Key(default=False, kind=bool),
-        "error_rate": _Key(default=True, kind=bool),
-        "threads": _Key(default=1, kind=int),
-        "report_output": _Key(required=True),
-        "samples_output": _Key(default=None),
-        "trace_output": _Key(default=None),
+        "alpha": _Key(float, default=0.05),
+        "delta": _Key(float, default=1.25),
+        "skip_divergent": _Key(bool, default=False),
+        "error_rate": _Key(bool, default=True),
+        "threads": _Key(int, default=1),
+        "report_output": _Key(str, required=True),
+        "samples_output": _Key(str, default=None),
+        "trace_output": _Key(str, default=None),
     },
     "simulate": {
-        "n_samples": _Key(default=400, kind=int),
-        "minority_prob": _Key(default=0.1),
-        "group_means": _Key(default=[[-1.5, 0.0], [1.5, 0.0]]),
-        "noise_sd": _Key(default=0.25),
-        "label_weights": _Key(default=[[-0.2, -0.01], [0.2, -0.01]]),
-        "label_noise_var": _Key(default=1e-4),
-        "seed": _Key(default=7, kind=int),
-        "data_output": _Key(required=True),
+        "n_samples": _Key(int, default=400),
+        "minority_prob": _Key(float, default=0.1),
+        "group_means": _Key([[float]], default=[[-1.5, 0.0], [1.5, 0.0]]),
+        "noise_sd": _Key(float, default=0.25),
+        "label_weights": _Key([[float]], default=[[-0.2, -0.01], [0.2, -0.01]]),
+        "label_noise_var": _Key(float, default=1e-4),
+        "seed": _Key(int, default=7),
+        "data_output": _Key(str, required=True),
     },
     "sweep": {
         **_DATA_KEYS,
         **_ATTACK_KEYS,
-        "lam": _Key(default=100.0),
-        "num_steps": _Key(default=400, kind=int),
-        "schedule": _Key(default="decay"),
-        "beta_degrees": _Key(default=0.0),
-        "alpha": _Key(default=0.05),
-        "delta": _Key(default=1.25),
-        "w1_min": _Key(default=-4.0),
-        "w1_max": _Key(default=4.0),
-        "w1_step": _Key(default=0.4),
-        "w2_min": _Key(default=-4.0),
-        "w2_max": _Key(default=4.0),
-        "w2_step": _Key(default=0.4),
-        "output": _Key(required=True),
+        "lam": _Key(float, default=100.0),
+        "num_steps": _Key(int, default=400),
+        "schedule": _Key(str, default="decay"),
+        "beta_degrees": _Key(float, default=0.0),
+        "alpha": _Key(float, default=0.05),
+        "delta": _Key(float, default=1.25),
+        "w1_min": _Key(float, default=-4.0),
+        "w1_max": _Key(float, default=4.0),
+        "w1_step": _Key(float, default=0.4),
+        "w2_min": _Key(float, default=-4.0),
+        "w2_max": _Key(float, default=4.0),
+        "w2_step": _Key(float, default=0.4),
+        "output": _Key(str, required=True),
     },
     "stopping-sweep": {
-        "model": _Key(required=True),
-        "metric": _Key(required=True),
+        "model": _Key(str, required=True),
+        "metric": _Key(str, required=True),
         **_DATA_KEYS,
-        "lam": _Key(default=50.0),
-        "eta": _Key(default=0.01),
-        "horizons": _Key(required=True),
-        "alpha": _Key(default=0.05),
-        "output": _Key(required=True),
+        "lam": _Key(float, default=50.0),
+        "eta": _Key(float, default=0.01),
+        "horizons": _Key([float], required=True),
+        "alpha": _Key(float, default=0.05),
+        "output": _Key(str, required=True),
     },
     "robustness": {
-        "model": _Key(required=True),
-        "metric": _Key(required=True),
+        "model": _Key(str, required=True),
+        "metric": _Key(str, required=True),
         **_DATA_KEYS,
         **_ATTACK_KEYS,
-        "scales": _Key(required=True),
-        "perturb_seed": _Key(default=0, kind=int),
-        "output": _Key(required=True),
+        "scales": _Key([float], required=True),
+        "perturb_seed": _Key(int, default=0),
+        "output": _Key(str, required=True),
     },
     "calibrate": {
-        "n": _Key(default=500, kind=int),
-        "coverage_replicates": _Key(default=1000, kind=int),
-        "replicates": _Key(default=200, kind=int),
-        "alpha": _Key(default=0.05),
-        "delta": _Key(default=1.25),
-        "coverage_mean": _Key(default=2.0),
-        "sd": _Key(default=0.5),
-        "shape": _Key(default=4.0),
-        "seed": _Key(default=1, kind=int),
-        "output": _Key(required=True),
+        "n": _Key(int, default=500),
+        "coverage_replicates": _Key(int, default=1000),
+        "replicates": _Key(int, default=200),
+        "alpha": _Key(float, default=0.05),
+        "delta": _Key(float, default=1.25),
+        "coverage_mean": _Key(float, default=2.0),
+        "sd": _Key(float, default=0.5),
+        "shape": _Key(float, default=4.0),
+        "seed": _Key(int, default=1),
+        "output": _Key(str, required=True),
     },
 }
+
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _describe(kind) -> str:
+    return f"a JSON array, each item {_describe(kind[0])}" if isinstance(kind, list) else _KIND_NAMES[kind]
+
+
+def _convert(kind, value):
+    """``value`` as ``kind`` (see ``_Key``), or ValueError if it is not one.
+
+    Numbers are never booleans or strings; an integral float such as 5.0
+    is accepted as an integer.
+    """
+    if isinstance(kind, list):
+        if isinstance(value, list):
+            return tuple(_convert(kind[0], v) for v in value)
+    elif kind is bool or kind is str:
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is int and float(value).is_integer():
+            return int(value)
+        if kind is float and math.isfinite(value):
+            return float(value)
+    raise ValueError(value)
 
 
 def _parse_config(path, command: str) -> dict:
@@ -185,58 +217,41 @@ def _parse_config(path, command: str) -> dict:
     out = {}
     for key, spec in schema.items():
         if key in doc:
-            _check_kind(command, key, spec.kind, doc[key])
-            out[key] = doc[key]
+            value = doc[key]
         elif spec.required:
             raise ValueError(f"{command}: missing required config key {key!r}")
         else:
-            out[key] = spec.default
+            value = spec.default
+        nullable = spec.default is None and not spec.required
+        if value is None and nullable:
+            out[key] = None
+            continue
+        try:
+            out[key] = _convert(spec.kind, value)
+        except (ValueError, OverflowError):
+            expected = _describe(spec.kind) + (" or null" if nullable else "")
+            raise ValueError(f"{command}: config key {key!r} must be {expected}, got {value!r}") from None
+    if "alpha" in out:
+        inference.check_levels(out["alpha"], out.get("delta"))
     return out
 
 
-def _check_kind(command: str, key: str, kind: type | None, value) -> None:
-    # bool is a subclass of int, so it is excluded from the integral check
-    if kind is bool and not isinstance(value, bool):
-        raise ValueError(f"{command}: config key {key!r} must be true or false, got {value!r}")
-    if kind is int and (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (isinstance(value, float) and not value.is_integer())
-    ):
-        raise ValueError(f"{command}: config key {key!r} must be an integer, got {value!r}")
-
-
-def _check_levels(cfg: dict) -> None:
-    if not 0.0 < cfg["alpha"] <= 0.5:
-        raise ValueError("alpha must lie in (0, 0.5]")
-    if cfg["delta"] <= 1.0:
-        raise ValueError("delta must exceed 1")
-
-
-def _attack_config(cfg: dict) -> AttackConfig:
-    return AttackConfig(
-        lam=float(cfg["lam"]),
-        num_steps=int(cfg["num_steps"]),
-        schedule=str(cfg["schedule"]),
-        eta=float(cfg["eta"]),
-        decay_c=float(cfg["decay_c"]),
-        decay_p=float(cfg["decay_p"]),
-    )
+def _build(cls, cfg: dict, **extra):
+    """The dataclass ``cls`` built from the config keys named like its fields."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}, **extra)
 
 
 def _load_dataset(cfg: dict):
     return load_csv(
         cfg["data"],
         label_column=cfg["label_column"],
-        protected_columns=tuple(cfg["protected_columns"]),
+        protected_columns=cfg["protected_columns"],
         standardize=cfg["standardize"],
     )
 
 
 def run_split(cfg: dict) -> int:
-    n_train, n_audit = split_csv(
-        cfg["input"], cfg["train_output"], cfg["audit_output"], float(cfg["train_fraction"]), int(cfg["seed"])
-    )
+    n_train, n_audit = split_csv(cfg["input"], cfg["train_output"], cfg["audit_output"], cfg["train_fraction"], cfg["seed"])
     print(f"split: {n_train} training rows -> {cfg['train_output']}, {n_audit} audit rows -> {cfg['audit_output']}")
     return EXIT_OK
 
@@ -246,16 +261,7 @@ def run_train(cfg: dict) -> int:
     projector = None
     if cfg["projector_metric"] is not None:
         projector = load_metric(cfg["projector_metric"]).sigma
-    train_cfg = TrainConfig(
-        learning_rate=float(cfg["learning_rate"]),
-        batch_size=int(cfg["batch_size"]),
-        num_steps=int(cfg["num_steps"]),
-        class_reweight=cfg["class_reweight"],
-        seed=int(cfg["seed"]),
-        preprocess_projector=projector,
-        hidden_units=int(cfg["hidden_units"]),
-        activation=str(cfg["activation"]),
-    )
+    train_cfg = _build(TrainConfig, cfg, preprocess_projector=projector)
     model = train(ds.features, ds.labels, architecture=cfg["architecture"], cfg=train_cfg)
     save_model(model, cfg["model_output"])
     print(f"train: saved {cfg['architecture']} model to {cfg['model_output']}")
@@ -268,18 +274,11 @@ def run_metric(cfg: dict) -> int:
         if cfg["data"] is None or cfg["label_column"] is None or not cfg["protected_columns"]:
             raise ValueError("metric: learned metrics need data, label_column and protected_columns")
         ds = _load_dataset(cfg)
-        spec = SubspaceSpec(protected_columns=tuple(cfg["protected_columns"]), rank_tol=float(cfg["rank_tol"]))
-        train_cfg = TrainConfig(
-            learning_rate=float(cfg["learning_rate"]),
-            batch_size=int(cfg["batch_size"]),
-            num_steps=int(cfg["num_steps"]),
-            seed=int(cfg["seed"]),
-        )
-        metric = learn_sensitive_metric(ds, spec, train_cfg)
+        metric = learn_sensitive_metric(ds, _build(SubspaceSpec, cfg), _build(TrainConfig, cfg))
     elif kind == "rotated":
         if cfg["beta_degrees"] is None:
             raise ValueError("metric: rotated metrics need beta_degrees")
-        metric = rotated_coordinate_metric(math.radians(float(cfg["beta_degrees"])))
+        metric = rotated_coordinate_metric(math.radians(cfg["beta_degrees"]))
     else:
         raise ValueError(f"metric: unknown type {kind!r}")
     save_metric(metric, cfg["metric_output"])
@@ -321,22 +320,21 @@ class _TraceJsonl:
 
 
 def run_audit(cfg: dict) -> int:
-    _check_levels(cfg)
     model = load_model(cfg["model"])
     metric = load_metric(cfg["metric"])
     ds = _load_dataset(cfg)
-    attack_cfg = _attack_config(cfg)
+    attack_cfg = _build(AttackConfig, cfg)
     report = inference.audit(
         model,
         metric,
         attack_cfg,
         ds.features,
         ds.labels,
-        alpha=float(cfg["alpha"]),
-        delta=float(cfg["delta"]),
+        alpha=cfg["alpha"],
+        delta=cfg["delta"],
         skip_divergent=cfg["skip_divergent"],
         include_error_rate=cfg["error_rate"],
-        threads=int(cfg["threads"]),
+        threads=cfg["threads"],
     )
     atomic_write_text(cfg["report_output"], report.to_json(extra={"config": cfg}))
     if cfg["samples_output"] is not None:
@@ -350,33 +348,23 @@ def run_audit(cfg: dict) -> int:
 
 
 def run_simulate(cfg: dict) -> int:
-    sim_cfg = sim.SimConfig(
-        n_samples=int(cfg["n_samples"]),
-        minority_prob=float(cfg["minority_prob"]),
-        group_means=tuple(tuple(float(v) for v in m) for m in cfg["group_means"]),
-        noise_sd=float(cfg["noise_sd"]),
-        label_weights=tuple(tuple(float(v) for v in w) for w in cfg["label_weights"]),
-        label_noise_var=float(cfg["label_noise_var"]),
-        seed=int(cfg["seed"]),
-    )
-    ds = sim.generate(sim_cfg)
+    ds = sim.generate(_build(sim.SimConfig, cfg))
     save_csv(ds, cfg["data_output"])
     print(f"simulate: wrote {ds.n} samples to {cfg['data_output']}")
     return EXIT_OK
 
 
 def run_sweep(cfg: dict) -> int:
-    _check_levels(cfg)
     ds = _load_dataset(cfg)
     if ds.features.shape[1] != 2:
         raise ValueError("sweep: expects 2-D features (declare extra columns as protected)")
-    metric = rotated_coordinate_metric(math.radians(float(cfg["beta_degrees"])))
+    metric = rotated_coordinate_metric(math.radians(cfg["beta_degrees"]))
     grid = sim.GridSpec(
-        w1_values=sim.GridSpec.from_range(float(cfg["w1_min"]), float(cfg["w1_max"]), float(cfg["w1_step"])),
-        w2_values=sim.GridSpec.from_range(float(cfg["w2_min"]), float(cfg["w2_max"]), float(cfg["w2_step"])),
+        w1_values=sim.GridSpec.from_range(cfg["w1_min"], cfg["w1_max"], cfg["w1_step"]),
+        w2_values=sim.GridSpec.from_range(cfg["w2_min"], cfg["w2_max"], cfg["w2_step"]),
     )
     cells = sim.sweep_heatmap(
-        ds.features, ds.labels, grid, metric, _attack_config(cfg), alpha=float(cfg["alpha"]), delta=float(cfg["delta"])
+        ds.features, ds.labels, grid, metric, _build(AttackConfig, cfg), alpha=cfg["alpha"], delta=cfg["delta"]
     )
     atomic_write_text(cfg["output"], sim.heatmap_csv(cells))
     n_reject = sum(c.reject for c in cells)
@@ -385,8 +373,6 @@ def run_sweep(cfg: dict) -> int:
 
 
 def run_stopping_sweep(cfg: dict) -> int:
-    if not 0.0 < cfg["alpha"] <= 0.5:
-        raise ValueError("alpha must lie in (0, 0.5]")
     model = load_model(cfg["model"])
     metric = load_metric(cfg["metric"])
     ds = _load_dataset(cfg)
@@ -395,10 +381,10 @@ def run_stopping_sweep(cfg: dict) -> int:
         metric,
         ds.features,
         ds.labels,
-        horizons=[float(h) for h in cfg["horizons"]],
-        lam=float(cfg["lam"]),
-        eta=float(cfg["eta"]),
-        alpha=float(cfg["alpha"]),
+        horizons=cfg["horizons"],
+        lam=cfg["lam"],
+        eta=cfg["eta"],
+        alpha=cfg["alpha"],
     )
     atomic_write_text(cfg["output"], sim.stopping_csv(rows))
     print(f"stopping-sweep: {len(rows)} horizons -> {cfg['output']}")
@@ -412,11 +398,11 @@ def run_robustness(cfg: dict) -> int:
     rows = sim.robustness_experiment(
         model,
         metric,
-        [float(s) for s in cfg["scales"]],
+        cfg["scales"],
         ds.features,
         ds.labels,
-        _attack_config(cfg),
-        perturb_seed=int(cfg["perturb_seed"]),
+        _build(AttackConfig, cfg),
+        perturb_seed=cfg["perturb_seed"],
     )
     atomic_write_text(cfg["output"], sim.robustness_csv(rows))
     print(f"robustness: {len(rows)} scales -> {cfg['output']}")
@@ -424,17 +410,11 @@ def run_robustness(cfg: dict) -> int:
 
 
 def run_calibrate(cfg: dict) -> int:
-    _check_levels(cfg)
-    n = int(cfg["n"])
-    alpha = float(cfg["alpha"])
-    delta = float(cfg["delta"])
-    sd = float(cfg["sd"])
-    shape = float(cfg["shape"])
-    seed = int(cfg["seed"])
+    n, alpha, delta, sd, shape, seed = (cfg[k] for k in ("n", "alpha", "delta", "sd", "shape", "seed"))
     coverage, _ = sim.coverage_experiment(
-        sim.RatioPopulation(mean=float(cfg["coverage_mean"]), sd=sd, shape=shape),
+        sim.RatioPopulation(mean=cfg["coverage_mean"], sd=sd, shape=shape),
         n=n,
-        replicates=int(cfg["coverage_replicates"]),
+        replicates=cfg["coverage_replicates"],
         alpha=alpha,
         seed=seed,
     )
@@ -442,7 +422,7 @@ def run_calibrate(cfg: dict) -> int:
         sim.RatioPopulation(mean=delta, sd=sd, shape=shape),
         delta,
         n=n,
-        replicates=int(cfg["replicates"]),
+        replicates=cfg["replicates"],
         alpha=alpha,
         seed=seed + 1,
         name="type1",
@@ -451,7 +431,7 @@ def run_calibrate(cfg: dict) -> int:
         sim.RatioPopulation(mean=delta + 5.0 * sd / math.sqrt(n), sd=sd, shape=shape),
         delta,
         n=n,
-        replicates=int(cfg["replicates"]),
+        replicates=cfg["replicates"],
         alpha=alpha,
         seed=seed + 2,
         name="power",

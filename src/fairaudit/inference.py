@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,44 +52,30 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _normal_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-# Rational approximation coefficients (central and tail regions) for the
-# inverse normal CDF; two Newton corrections against the erfc-based CDF
-# push the residual |Phi(z) - p| far below the 1e-9 contract.
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF with |Phi(z_p) - p| < 1e-9."""
+    """Inverse standard normal CDF z_p, i.e. Phi(z_p) = p."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    plow, phigh = 0.02425, 1.0 - 0.02425
-    if p < plow:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = ((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
-             / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
-    elif p > phigh:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
-              / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
-    else:
-        q = p - 0.5
-        r = q * q
-        z = ((((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]) * q
-             / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0))
-    for _ in range(2):
-        z -= (normal_cdf(z) - p) / _normal_pdf(z)
-    return z
+    return _STANDARD_NORMAL.inv_cdf(p)
+
+
+def check_levels(alpha: float, delta: float | None = None) -> None:
+    """The audit's level policy: alpha in (0, 0.5] and, when given, delta > 1.
+
+    Both comparisons fail for NaN, so a NaN level is rejected too.
+    """
+    if not 0.0 < alpha <= 0.5:
+        raise ValueError(f"alpha must lie in (0, 0.5], got {alpha!r}")
+    if delta is not None and not delta > 1.0:
+        raise ValueError(f"delta must exceed 1, got {delta!r}")
+
+
+def _margin(spread: float, n: int, tail: float) -> float:
+    """z_{1-tail} spread / sqrt(n): the half-width behind every interval, T_n and T~."""
+    return normal_quantile(1.0 - tail) * spread / math.sqrt(n)
 
 
 def _check_ratios(ratios) -> np.ndarray:
@@ -109,27 +97,24 @@ def loss_ratio_stats(ratios) -> tuple[float, float]:
 
 def two_sided_ci(ratios, alpha: float) -> tuple[float, float]:
     """Equal-tailed interval S_n +/- z_{1-alpha/2} V_n / sqrt(n)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    r = _check_ratios(ratios)
+    check_levels(alpha)
+    r = np.asarray(ratios)
     s_n, v_n = loss_ratio_stats(r)
-    half = normal_quantile(1.0 - alpha / 2.0) * v_n / math.sqrt(r.shape[0])
+    half = _margin(v_n, r.shape[0], alpha / 2.0)
     return s_n - half, s_n + half
 
 
 def one_sided_lower_bound(ratios, alpha: float) -> float:
     """Lower end of the one-sided interval: S_n - z_{1-alpha} V_n / sqrt(n)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    r = _check_ratios(ratios)
+    check_levels(alpha)
+    r = np.asarray(ratios)
     s_n, v_n = loss_ratio_stats(r)
-    return s_n - normal_quantile(1.0 - alpha) * v_n / math.sqrt(r.shape[0])
+    return s_n - _margin(v_n, r.shape[0], alpha)
 
 
 def loss_ratio_test(ratios, alpha: float, delta: float) -> tuple[float, bool]:
     """One-sided lower confidence bound T_n and the rejection decision T_n > delta."""
-    if delta <= 1.0:
-        raise ValueError("delta must exceed 1")
+    check_levels(alpha, delta)
     t_n = one_sided_lower_bound(ratios, alpha)
     return t_n, t_n > delta
 
@@ -175,12 +160,9 @@ def error_rate_stats(post, pre) -> ErrorRateStats:
 
 def error_rate_test(post, pre, alpha: float, delta: float) -> tuple[float, bool]:
     """Calibrated error-rates statistic T~ = S~ - z_{1-alpha} sqrt(var_hat) and its decision."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if delta <= 1.0:
-        raise ValueError("delta must exceed 1")
+    check_levels(alpha, delta)
     stats = error_rate_stats(post, pre)
-    t_tilde = stats.s_tilde - normal_quantile(1.0 - alpha) * math.sqrt(stats.var_hat)
+    t_tilde = stats.s_tilde - _margin(math.sqrt(stats.var_hat), 1, alpha)
     return t_tilde, t_tilde > delta
 
 
@@ -291,8 +273,11 @@ def audit(
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("features must be (n, d) with matching 1-D labels")
+    check_levels(alpha, delta)
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    # one thread per chunk; more threads than CPUs only add overhead
+    threads = min(threads, os.cpu_count() or 1)
 
     if threads == 1 or x.shape[0] < 2 * threads:
         attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x, y, skip_divergent=skip_divergent)
@@ -317,16 +302,18 @@ def audit(
     pre01 = (_predictions(model, x[idx]) != y[idx].astype(np.int64)).astype(np.int64)
     post01 = (_predictions(model, attacked[idx]) != y[idx].astype(np.int64)).astype(np.int64)
 
+    # each statistic is folded once; the bounds come from the same expressions as the public functions
     s_n, v_n = loss_ratio_stats(ratios)
-    ci_lo, ci_hi = two_sided_ci(ratios, alpha)
-    t_n, reject = loss_ratio_test(ratios, alpha, delta)
+    half = _margin(v_n, idx.size, alpha / 2.0)
+    t_n = s_n - _margin(v_n, idx.size, alpha)
+    reject = t_n > delta
 
     error_rate = None
     if include_error_rate:
         stats = error_rate_stats(post01, pre01)
-        t_tilde, reject_tilde = error_rate_test(post01, pre01, alpha, delta)
+        t_tilde = stats.s_tilde - _margin(math.sqrt(stats.var_hat), 1, alpha)
         error_rate = ErrorRateReport(
-            a_n=stats.a_n, b_n=stats.b_n, s_tilde=stats.s_tilde, t_tilde=t_tilde, reject=reject_tilde
+            a_n=stats.a_n, b_n=stats.b_n, s_tilde=stats.s_tilde, t_tilde=t_tilde, reject=t_tilde > delta
         )
 
     return AuditReport(
@@ -334,8 +321,8 @@ def audit(
         s_n=s_n,
         v_n=v_n,
         t_n=t_n,
-        ci_lo=ci_lo,
-        ci_hi=ci_hi,
+        ci_lo=s_n - half,
+        ci_hi=s_n + half,
         ci_one_sided_lo=t_n,
         alpha=alpha,
         delta=delta,

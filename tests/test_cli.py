@@ -341,6 +341,11 @@ class TestConfigTypes:
             ("num_steps", 2.9),
             ("threads", True),
             ("num_steps", "5"),
+            ("lam", True),
+            ("lam", "50"),
+            ("eta", True),
+            ("alpha", "0.05"),
+            ("delta", float("nan")),
         ],
     )
     def test_audit_key_of_wrong_type_exits_10(self, tmp_path, sim_csv, metric_file, capsys, key, value):
@@ -350,16 +355,35 @@ class TestConfigTypes:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("key, value", [("class_reweight", "true"), ("batch_size", 64.5), ("seed", None)])
-    def test_train_key_of_wrong_type_exits_10(self, tmp_path, sim_csv, capsys, key, value):
-        cfg = write_config(
-            tmp_path,
-            "train.json",
-            {"data": sim_csv, "label_column": "label", "protected_columns": ["group"], "num_steps": 10,
-             "model_output": str(tmp_path / "model.json"), key: value},
-        )
-        assert cli.main(["train", "--config", cfg]) == 10
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("train", "class_reweight", "true"),
+            ("train", "batch_size", 64.5),
+            ("train", "seed", None),
+            ("stopping-sweep", "horizons", "125"),
+            ("robustness", "scales", "0"),
+            ("sweep", "w1_step", True),
+            ("simulate", "noise_sd", True),
+        ],
+    )
+    def test_command_key_of_wrong_type_exits_10(self, tmp_path, sim_csv, metric_file, capsys, command, key, value):
+        # each base config runs when the key is left out, so only the bad value fails it
+        data = {"data": sim_csv, "label_column": "label", "protected_columns": ["group"]}
+        audited = {"model": unfair_model_file(tmp_path, sim_csv), "metric": metric_file, **data}
+        out = str(tmp_path / "out")
+        base = {
+            "train": {**data, "num_steps": 10, "model_output": out},
+            "stopping-sweep": {**audited, "horizons": [0.5], "output": out},
+            "robustness": {**audited, "scales": [0.0], "num_steps": 5, "output": out},
+            "sweep": {**data, "num_steps": 5, "w1_min": -1.0, "w1_max": 1.0, "w1_step": 1.0,
+                      "w2_min": 0.0, "w2_max": 1.0, "w2_step": 1.0, "output": out},
+            "simulate": {"n_samples": 50, "data_output": out},
+        }[command]
+        cfg = write_config(tmp_path, f"{command}.json", {**base, key: value})
+        assert cli.main([command, "--config", cfg]) == 10
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_and_json_booleans_accepted(self, tmp_path, sim_csv, metric_file):
         model = unfair_model_file(tmp_path, sim_csv)

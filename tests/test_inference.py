@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtri
 
 import helpers
-from fairaudit import sim
+from fairaudit import inference, sim
 from fairaudit.attack import audit_preset, sim_preset
 from fairaudit.fair_metric import rotated_coordinate_metric
 from fairaudit.inference import (
@@ -111,6 +111,9 @@ class TestTwoSidedCi:
     def test_alpha_domain(self):
         with pytest.raises(ValueError, match="alpha"):
             two_sided_ci([1.0, 2.0], alpha=1.5)
+        # the level policy is (0, 0.5], the same as the CLI's
+        with pytest.raises(ValueError, match="alpha"):
+            two_sided_ci([1.0, 2.0], alpha=0.7)
 
 
 class TestLossRatioTest:
@@ -139,6 +142,11 @@ class TestLossRatioTest:
     def test_delta_must_exceed_one(self):
         with pytest.raises(ValueError, match="delta"):
             loss_ratio_test([1.0, 2.0], alpha=0.05, delta=1.0)
+        # NaN <= 1 is false, so a plain "delta <= 1" guard would let it through
+        with pytest.raises(ValueError, match="delta"):
+            loss_ratio_test([1.0, 2.0], alpha=0.05, delta=float("nan"))
+        with pytest.raises(ValueError, match="delta"):
+            error_rate_test([1, 0], [1, 0], alpha=0.05, delta=float("nan"))
 
 
 class TestErrorRateStats:
@@ -249,6 +257,30 @@ class TestAudit:
         r3 = audit(unfair_sim_model, metric, sim_preset(), sim_dataset.features, sim_dataset.labels, threads=3)
         assert_allclose(r1.ratios, r3.ratios, rtol=1e-12, atol=1e-12)
         assert r1.t_n == pytest.approx(r3.t_n, rel=1e-12)
+
+    def test_threads_clamped_to_cpu_count(self, monkeypatch, sim_dataset, unfair_sim_model):
+        chunks = []
+
+        def counting_attack(model, metric, cfg, x, y, skip_divergent=False):
+            chunks.append(x.shape[0])
+            return unfair_map_batch(model, metric, cfg, x, y, skip_divergent)
+
+        unfair_map_batch = inference.unfair_map_batch
+        monkeypatch.setattr(inference.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(inference, "unfair_map_batch", counting_attack)
+        metric = rotated_coordinate_metric(0.0)
+        audit(unfair_sim_model, metric, sim_preset(), sim_dataset.features, sim_dataset.labels, threads=3)
+        assert len(chunks) == 2 and sum(chunks) == sim_dataset.n
+
+    @pytest.mark.parametrize("alpha, delta", [(0.05, float("nan")), (0.05, 1.0), (0.7, 1.25)])
+    def test_levels_checked_before_the_attack(self, monkeypatch, sim_dataset, unfair_sim_model, alpha, delta):
+        def no_attack(*args, **kwargs):
+            raise AssertionError("attacked before checking the levels")
+
+        monkeypatch.setattr(inference, "unfair_map_batch", no_attack)
+        metric = rotated_coordinate_metric(0.0)
+        with pytest.raises(ValueError, match="alpha|delta"):
+            audit(unfair_sim_model, metric, sim_preset(), sim_dataset.features, sim_dataset.labels, alpha=alpha, delta=delta)
 
     def test_no_baseline_errors_propagates(self, sim_dataset):
         model = LogisticModel(weights=np.zeros(2), bias=0.3)  # always predicts class 1
