@@ -136,9 +136,17 @@ class AttackTrace:
         return "\n".join(lines) + "\n"
 
 
-def flow_field(model, metric: FairMetric, lam: float, x, x0, y):
-    """Penalized ascent field g(x); accepts single points or (n, d) batches."""
-    return model.input_gradient(x, y) - lam * metric.distance_sq_gradient(x, x0)
+def flow_field(model, metric: FairMetric, lam: float, x, x0, y, out=None):
+    """Penalized ascent field g(x); accepts single points or (n, d) batches.
+
+    ``out``, if given, is an array of the field's shape that receives g(x)
+    and is returned.  The array the model's gradient returns is only read.
+    The penalty is formed first, so its temporaries are freed before the
+    model allocates its gradient.
+    """
+    penalty = metric.distance_sq_gradient(x, x0, out=out)
+    penalty *= lam
+    return np.subtract(model.input_gradient(x, y), penalty, out=penalty)
 
 
 def unfair_map(model, metric: FairMetric, cfg: AttackConfig, x0, y, record_trace: bool = False):
@@ -186,6 +194,11 @@ def unfair_map_batch(
     diverged rows exists only after the first divergence.  The model sees
     the full batch every step, so it may carry per-row parameters
     (``sim.sweep_heatmap`` stacks grid cells this way).
+
+    The state, the field and the displacement live in ``(n, d)`` buffers
+    allocated once per call, so a step allocates nothing of that size but
+    the model's gradient and the metric's difference ``x - x0``.  The
+    returned ``x_final`` is one of these buffers.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 2:
@@ -201,17 +214,20 @@ def unfair_map_batch(
     # kept[bounds[k]:bounds[k + 1]] are the slots that ask for step k
     bounds = np.searchsorted(keep, np.arange(len(steps) + 2)).tolist()
 
+    # the workspace: two states swapped every step, the field, the displacement
     x = x0.copy()
+    x_next = np.empty(x0.shape)
+    field = np.empty(x0.shape)
+    moved = np.empty(x0.shape)
     kept[bounds[0] : bounds[1]] = x
-    moved = np.empty_like(x0)
     dead = None
     divergent: list[int] = []
     # overflow in a diverging row is detected below, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         for k, eta in enumerate(steps, start=1):
-            x_next = flow_field(model, metric, cfg.lam, x, x0, y)
-            x_next *= eta
-            x_next += x
+            g = flow_field(model, metric, cfg.lam, x, x0, y, out=field)
+            g *= eta
+            np.add(g, x, out=x_next)
             np.subtract(x_next, x0, out=moved)
             # NaN and inf fail the comparison too
             bad = ~(np.einsum("ij,ij->i", moved, moved) <= DIVERGENCE_RADIUS**2)
@@ -225,7 +241,7 @@ def unfair_map_batch(
                 dead = bad if dead is None else dead | bad
             if dead is not None:
                 np.copyto(x_next, x, where=dead[:, None])
-            x = x_next
+            x, x_next = x_next, x
             kept[bounds[k] : bounds[k + 1]] = x
             if dead is not None and np.all(dead):
                 kept[bounds[k + 1] :] = x

@@ -60,11 +60,19 @@ class FairMetric:
         out = np.einsum("ij,jk,ik->i", d, self.sigma, d)
         return float(out[0]) if single else out
 
-    def distance_sq_gradient(self, x, x0):
-        """Gradient of ``distance_sq(x, x0)`` in its first argument: 2 Sigma (x - x0)."""
+    def distance_sq_gradient(self, x, x0, out=None):
+        """Gradient of ``distance_sq(x, x0)`` in its first argument: 2 Sigma (x - x0).
+
+        ``out``, if given, is an array of the result's shape that receives
+        the gradient and is returned; the values are the same either way.
+        """
         d, single = self._deltas(x, x0)
-        out = 2.0 * d @ self.sigma
-        return out[0] if single else out
+        d *= 2.0
+        if out is None:
+            out = d @ self.sigma
+            return out[0] if single else out
+        np.matmul(d, self.sigma, out=out[None, :] if single else out)
+        return out
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "sigma": self.sigma.tolist()}

@@ -30,8 +30,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,14 +50,14 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-_STANDARD_NORMAL = statistics.NormalDist()
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF z_p, i.e. Phi(z_p) = p."""
+    # imported here: statistics loads decimal and fractions, which only this needs
+    import statistics
+
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    return _STANDARD_NORMAL.inv_cdf(p)
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def check_levels(alpha: float, delta: float | None = None) -> None:
@@ -282,6 +280,9 @@ def audit(
     if threads == 1 or x.shape[0] < 2 * threads:
         attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x, y, skip_divergent=skip_divergent)
     else:
+        # imported here: concurrent.futures loads logging, traceback and queue
+        from concurrent.futures import ThreadPoolExecutor
+
         chunks = np.array_split(np.arange(x.shape[0]), threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [

@@ -26,7 +26,7 @@ variant.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,9 +74,17 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
+def _tanh_slope(z, a):
+    """tanh'(z) = 1 - tanh(z)**2, written over a = tanh(z)."""
+    np.square(a, out=a)
+    return np.subtract(1.0, a, out=a)
+
+
+# activation -> (act(z), slope(z, a)): slope(z, a) is act'(z) given a = act(z),
+# and it may overwrite a
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "softplus": (_softplus, expit),
+    "tanh": (np.tanh, _tanh_slope),
+    "softplus": (_softplus, lambda z, a: expit(z)),
 }
 
 
@@ -105,11 +113,16 @@ class LogisticModel:
     weights: np.ndarray
     bias: float
     projector: np.ndarray | None = None
+    # d logit / dx = P w, the same for every input
+    _logit_gradient: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+        w = self.weights
         if self.projector is not None:
             object.__setattr__(self, "projector", as_matrix(self.projector, "projector"))
+            w = self.projector @ w
+        object.__setattr__(self, "_logit_gradient", w)
 
     @property
     def dim(self) -> int:
@@ -135,8 +148,7 @@ class LogisticModel:
     def input_gradient(self, x, y):
         z, single = self._logits(x)
         p = expit(z)
-        w = self.weights if self.projector is None else self.projector @ self.weights
-        grad = (p - _check_labels(y))[:, None] * w[None, :]
+        grad = (p - _check_labels(y))[:, None] * self._logit_gradient[None, :]
         return grad[0] if single else grad
 
     def to_dict(self) -> dict:
@@ -180,29 +192,36 @@ class MlpModel:
         if self.projector is not None:
             xb = xb @ self.projector
         act, _ = _ACTIVATIONS[self.activation]
-        z1 = xb @ self.layer1_weights.T + self.layer1_bias
-        z = act(z1) @ self.layer2_weights + self.layer2_bias
-        return z, z1, single
+        z1 = xb @ self.layer1_weights.T
+        z1 += self.layer1_bias
+        a = act(z1)
+        z = a @ self.layer2_weights + self.layer2_bias
+        return z, z1, a, single
 
     def predict_proba(self, x):
-        z, _, single = self._forward(x)
+        z, _, _, single = self._forward(x)
         p = expit(z)
         return float(p[0]) if single else p
 
     def loss(self, x, y):
-        z, _, single = self._forward(x)
+        z, _, _, single = self._forward(x)
         out = loss_from_logit(z, _check_labels(y))
         return float(out[0]) if single else out
 
     def input_gradient(self, x, y):
-        z, z1, single = self._forward(x)
-        _, dact = _ACTIVATIONS[self.activation]
+        z, z1, a, single = self._forward(x)
+        _, slope = _ACTIVATIONS[self.activation]
         p = expit(z)
         # d logit / d x' = (act'(z1) * w2) @ W1, then chain through the projector
-        dlogit = (dact(z1) * self.layer2_weights) @ self.layer1_weights
+        hidden = slope(z1, a)
+        # drop the (n, hidden) pre-activation before the (n, d) gradient is
+        # allocated, which keeps the peak of a call lower
+        del z1, a
+        hidden *= self.layer2_weights
+        grad = hidden @ self.layer1_weights
         if self.projector is not None:
-            dlogit = dlogit @ self.projector
-        grad = (p - _check_labels(y))[:, None] * dlogit
+            grad = grad @ self.projector
+        grad *= (p - _check_labels(y))[:, None]
         return grad[0] if single else grad
 
     def to_dict(self) -> dict:
@@ -317,7 +336,7 @@ def train(features, labels, architecture: str = "logistic", cfg: TrainConfig = T
             "w2": rng.normal(0.0, 1.0 / np.sqrt(h), size=h),
             "b2": 0.0,
         }
-        act, dact = _ACTIVATIONS[cfg.activation]
+        act, slope = _ACTIVATIONS[cfg.activation]
     else:
         raise ValueError(f"unknown architecture {architecture!r}")
 
@@ -341,8 +360,10 @@ def train(features, labels, architecture: str = "logistic", cfg: TrainConfig = T
             a = act(z1)
             z = a @ params["w2"] + params["b2"]
             err = wb * (expit(z) - yb)
-            dz1 = (err[:, None] * params["w2"][None, :]) * dact(z1)
-            params["w2"] -= cfg.learning_rate * (a.T @ err) / len(idx)
+            # slope() may overwrite a, so a's own gradient term comes first
+            grad_w2 = a.T @ err
+            dz1 = (err[:, None] * params["w2"][None, :]) * slope(z1, a)
+            params["w2"] -= cfg.learning_rate * grad_w2 / len(idx)
             params["b2"] -= cfg.learning_rate * float(np.mean(err))
             params["w1"] -= cfg.learning_rate * (dz1.T @ xb) / len(idx)
             params["b1"] -= cfg.learning_rate * np.mean(dz1, axis=0)

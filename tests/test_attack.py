@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import helpers
 from fairaudit.attack import (
+    DIVERGENCE_RADIUS,
     AttackConfig,
     DivergenceError,
     LinearFlowProblem,
@@ -21,8 +22,8 @@ from fairaudit.attack import (
     unfair_map_batch,
 )
 from fairaudit.fair_metric import FairMetric, rotated_coordinate_metric
-from fairaudit.models import LogisticModel
-from fairaudit.sim import fit_bias
+from fairaudit.models import LogisticModel, MlpModel
+from fairaudit.sim import StackedLogistic, fit_bias
 
 
 class LinearLossStub:
@@ -370,3 +371,212 @@ class TestKeepSteps:
         assert_array_equal(kept[0], x0)
         assert_array_equal(kept[1], final)
         assert_array_equal(kept[2], final)
+
+
+def _random_mlp(rng, dim, activation, projector=None, hidden=6):
+    return MlpModel(
+        layer1_weights=rng.normal(size=(hidden, dim)),
+        layer1_bias=rng.normal(size=hidden),
+        layer2_weights=rng.normal(size=hidden),
+        layer2_bias=0.3,
+        activation=activation,
+        projector=projector,
+    )
+
+
+def _kernel_models():
+    """Every model kind the kernel attacks, on 5 features, for a batch of 24 rows."""
+    rng = np.random.default_rng(17)
+    dim = 5
+    u = rng.normal(size=dim)
+    proj = np.eye(dim) - np.outer(u, u) / (u @ u)
+    return {
+        "logistic": LogisticModel(weights=rng.normal(size=dim), bias=0.2),
+        "logistic-projected": LogisticModel(weights=rng.normal(size=dim), bias=-0.4, projector=proj),
+        "mlp-tanh": _random_mlp(rng, dim, "tanh"),
+        "mlp-tanh-projected": _random_mlp(rng, dim, "tanh", proj),
+        "mlp-softplus": _random_mlp(rng, dim, "softplus"),
+        "mlp-softplus-projected": _random_mlp(rng, dim, "softplus", proj),
+        "stacked-logistic": StackedLogistic(weights=rng.normal(size=(24, dim)), bias=rng.normal(size=24)),
+    }
+
+
+KERNEL_MODELS = _kernel_models()
+
+
+def reference_euler(model, metric, cfg, x0, y, keep_steps=()):
+    """The attack as a plain loop with no buffers: ``x = x + eta * g(x)``, frozen rows kept.
+
+    Returns ``(x_final, divergent, kept)`` like ``unfair_map_batch`` with
+    ``skip_divergent=True``.
+    """
+    x = x0.copy()
+    dead = np.zeros(x0.shape[0], dtype=bool)
+    iterates = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eta in cfg.step_sizes():
+            x_new = x + eta * flow_field(model, metric, cfg.lam, x, x0, y)
+            moved = x_new - x0
+            dead |= ~(np.sum(moved * moved, axis=1) <= DIVERGENCE_RADIUS**2)
+            x = np.where(dead[:, None], x, x_new)
+            iterates.append(x)
+    return x, np.flatnonzero(dead).tolist(), np.array([iterates[k] for k in keep_steps])
+
+
+class TestWorkspaceKernel:
+    """The buffered kernel gives exactly the bits of the plain Euler loop."""
+
+    METRIC = FairMetric(sigma=np.diag([1.0, 0.5, 2.0, 0.0, 1.5]))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    @pytest.mark.parametrize(
+        "cfg",
+        [AttackConfig(lam=2.0, num_steps=60, eta=0.02), AttackConfig(lam=5.0, num_steps=40, schedule="decay")],
+        ids=["constant", "decay"],
+    )
+    def test_matches_plain_loop_bitwise(self, name, cfg):
+        model = KERNEL_MODELS[name]
+        rng = np.random.default_rng(3)
+        x0 = rng.normal(size=(24, 5))
+        y = (rng.random(24) < 0.5).astype(float)
+        out, divergent = unfair_map_batch(model, self.METRIC, cfg, x0, y)
+        ref, ref_divergent, _ = reference_euler(model, self.METRIC, cfg, x0, y)
+        assert divergent == ref_divergent == []
+        assert_array_equal(out, ref)
+
+    def test_kept_iterates_match_plain_loop_bitwise(self):
+        model = KERNEL_MODELS["mlp-tanh-projected"]
+        rng = np.random.default_rng(4)
+        x0 = rng.normal(size=(24, 5))
+        y = (rng.random(24) < 0.5).astype(float)
+        cfg = AttackConfig(lam=2.0, num_steps=30, eta=0.03)
+        keep = [0, 1, 7, 7, 29, 30]
+        out, _, kept = unfair_map_batch(model, self.METRIC, cfg, x0, y, keep_steps=keep)
+        ref, _, ref_kept = reference_euler(model, self.METRIC, cfg, x0, y, keep_steps=keep)
+        assert_array_equal(out, ref)
+        assert_array_equal(kept, ref_kept)
+
+    def test_frozen_row_matches_plain_loop_bitwise(self):
+        # row 1 starts right of the origin and blows up; the others contract
+        stub = SplitFieldStub(k=100.0)
+        metric = FairMetric(sigma=np.eye(1))
+        cfg = AttackConfig(lam=0.01, num_steps=400, schedule="constant", eta=0.05)
+        x0 = np.array([[-1.0], [1.5], [-0.25], [-3.0]])
+        y = np.zeros(4)
+        keep = [0, 100, 400]
+        out, divergent, kept = unfair_map_batch(stub, metric, cfg, x0, y, skip_divergent=True, keep_steps=keep)
+        ref, ref_divergent, ref_kept = reference_euler(stub, metric, cfg, x0, y, keep_steps=keep)
+        assert divergent == ref_divergent == [1]
+        assert_array_equal(out, ref)
+        assert_array_equal(kept, ref_kept)
+        assert np.all(np.isfinite(out))
+
+    def test_caller_arrays_are_not_written(self):
+        model = KERNEL_MODELS["logistic"]
+        x0 = np.random.default_rng(6).normal(size=(8, 5))
+        y = np.ones(8)
+        x0_before, y_before = x0.copy(), y.copy()
+        unfair_map_batch(model, self.METRIC, AttackConfig(lam=1.0, num_steps=20), x0, y)
+        assert_array_equal(x0, x0_before)
+        assert_array_equal(y, y_before)
+
+
+class CachedGradientStub(LinearLossStub):
+    """Constant gradient, the same array object on every call."""
+
+    def __init__(self, a, rows):
+        super().__init__(a)
+        self.cached = np.tile(self.a, (rows, 1))
+
+    def input_gradient(self, x, y):
+        return self.cached
+
+
+class ReadOnlyGradient:
+    """Wraps a model so that every gradient it returns is read-only."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def loss(self, x, y):
+        return self.inner.loss(x, y)
+
+    def input_gradient(self, x, y):
+        g = self.inner.input_gradient(x, y)
+        g.setflags(write=False)
+        return g
+
+
+class TestNoWriteContract:
+    """The kernel only reads the array the model's gradient returns."""
+
+    METRIC = FairMetric(sigma=np.array([[2.0, 0.5], [0.5, 1.0]]))
+    CFG = AttackConfig(lam=3.0, num_steps=50, eta=0.02)
+
+    def test_read_only_gradient(self):
+        model = LogisticModel(weights=np.array([1.5, -0.5]), bias=0.1)
+        x0 = np.random.default_rng(8).normal(size=(10, 2))
+        y = (np.arange(10) % 2).astype(float)
+        out, _ = unfair_map_batch(ReadOnlyGradient(model), self.METRIC, self.CFG, x0, y)
+        expected, _ = unfair_map_batch(model, self.METRIC, self.CFG, x0, y)
+        assert_array_equal(out, expected)
+
+    def test_cached_gradient_is_left_intact(self):
+        x0 = np.random.default_rng(9).normal(size=(10, 2))
+        y = np.zeros(10)
+        cached = CachedGradientStub([0.7, -1.2], rows=10)
+        before = cached.cached.copy()
+        out, _ = unfair_map_batch(cached, self.METRIC, self.CFG, x0, y)
+        expected, _ = unfair_map_batch(LinearLossStub([0.7, -1.2]), self.METRIC, self.CFG, x0, y)
+        assert_array_equal(cached.cached, before)
+        assert_array_equal(out, expected)
+
+
+class TestOutBuffers:
+    METRIC = FairMetric(sigma=np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 0.7]]))
+
+    def _points(self):
+        rng = np.random.default_rng(10)
+        return rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+
+    def test_distance_gradient_out_batch(self):
+        x, x0 = self._points()
+        buf = np.full((7, 3), np.nan)
+        got = self.METRIC.distance_sq_gradient(x, x0, out=buf)
+        assert got is buf
+        assert_array_equal(buf, self.METRIC.distance_sq_gradient(x, x0))
+
+    def test_distance_gradient_out_single_point(self):
+        x, x0 = self._points()
+        buf = np.full(3, np.nan)
+        got = self.METRIC.distance_sq_gradient(x[0], x0[0], out=buf)
+        assert got is buf
+        plain = self.METRIC.distance_sq_gradient(x[0], x0[0])
+        assert plain.shape == (3,)
+        assert_array_equal(buf, plain)
+        assert_array_equal(plain, self.METRIC.distance_sq_gradient(x[:1], x0[:1])[0])
+
+    def test_flow_field_out_batch_and_single_point(self):
+        rng = np.random.default_rng(11)
+        x, x0 = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
+        y = (np.arange(7) % 2).astype(float)
+        model = KERNEL_MODELS["mlp-softplus"]
+        metric = FairMetric(sigma=np.eye(5))
+        buf = np.full((7, 5), np.nan)
+        got = flow_field(model, metric, 1.7, x, x0, y, out=buf)
+        assert got is buf
+        assert_array_equal(buf, flow_field(model, metric, 1.7, x, x0, y))
+        # a single point is computed as a batch of one
+        single = flow_field(model, metric, 1.7, x[2], x0[2], y[2])
+        assert single.shape == (5,)
+        assert_array_equal(single, flow_field(model, metric, 1.7, x[2:3], x0[2:3], y[2:3])[0])
+        buf1 = np.full(5, np.nan)
+        assert flow_field(model, metric, 1.7, x[2], x0[2], y[2], out=buf1) is buf1
+        assert_array_equal(buf1, single)
+
+    def test_flow_field_is_the_two_gradients_combined(self):
+        x, x0 = self._points()
+        model = LogisticModel(weights=np.array([0.5, -1.0, 2.0]), bias=0.3, projector=np.diag([1.0, 0.0, 1.0]))
+        y = np.ones(7)
+        expected = model.input_gradient(x, y) - 0.8 * self.METRIC.distance_sq_gradient(x, x0)
+        assert_array_equal(flow_field(model, self.METRIC, 0.8, x, x0, y, out=np.empty((7, 3))), expected)

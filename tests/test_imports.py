@@ -1,0 +1,21 @@
+"""What importing the CLI loads: every command pays for it at start-up."""
+
+import os
+import subprocess
+import sys
+
+import fairaudit
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fairaudit.__file__)))
+
+
+def test_cli_import_skips_modules_only_some_commands_need():
+    # statistics (normal quantiles) brings decimal and fractions; a threaded
+    # audit brings concurrent.futures; both are imported where they are used
+    code = (
+        "import sys, fairaudit.cli; "
+        "print(' '.join(m for m in ('decimal', 'fractions', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

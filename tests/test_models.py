@@ -223,3 +223,55 @@ def test_mlp_activation_restricted_to_smooth_choices():
             layer2_bias=0.0,
             activation="relu",
         )
+
+
+class TestGradientFormulas:
+    """The gradients keep the bits of their textbook formulas."""
+
+    def test_logistic_projected_gradient_is_bitwise_p_times_w(self):
+        rng = np.random.default_rng(21)
+        proj = rng.normal(size=(4, 4))
+        proj = proj + proj.T
+        m = LogisticModel(weights=rng.normal(size=4), bias=0.3, projector=proj)
+        x = rng.normal(size=(9, 4))
+        y = (rng.random(9) < 0.5).astype(float)
+        p = expit((x @ proj) @ m.weights + m.bias)
+        assert_array_equal(m.input_gradient(x, y), (p - y)[:, None] * (proj @ m.weights)[None, :])
+        assert_array_equal(m.input_gradient(x[3], y[3]), m.input_gradient(x[3:4], y[3:4])[0])
+
+    def test_logistic_cached_direction_is_not_part_of_the_model_value(self):
+        m = LogisticModel(weights=np.array([1.0, 2.0]), bias=0.5, projector=np.diag([1.0, 0.0]))
+        assert "_logit_gradient" not in repr(m)
+        assert set(m.to_dict()) == {"architecture", "weights", "bias", "projector"}
+        back = model_from_dict(json.loads(json.dumps(m.to_dict())))
+        assert_array_equal(back.input_gradient(np.ones(2), 1.0), m.input_gradient(np.ones(2), 1.0))
+        plain = LogisticModel(weights=np.array([1.0, 2.0]), bias=0.5)
+        assert_array_equal(plain.input_gradient(np.ones(2), 0.0), (expit(3.5) - 0.0) * np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("activation", ["tanh", "softplus"])
+    @pytest.mark.parametrize("projected", [False, True], ids=["plain", "projected"])
+    def test_mlp_gradient_is_bitwise_the_chain_rule(self, activation, projected):
+        rng = np.random.default_rng(22)
+        proj = np.eye(3) - np.full((3, 3), 1.0 / 3.0) if projected else None
+        m = MlpModel(
+            layer1_weights=rng.normal(size=(5, 3)),
+            layer1_bias=rng.normal(size=5),
+            layer2_weights=rng.normal(size=5),
+            layer2_bias=-0.2,
+            activation=activation,
+            projector=proj,
+        )
+        x = rng.normal(size=(11, 3))
+        y = (rng.random(11) < 0.5).astype(float)
+        xb = x if proj is None else x @ proj
+        z1 = xb @ m.layer1_weights.T + m.layer1_bias
+        if activation == "tanh":
+            a, slope = np.tanh(z1), 1.0 - np.tanh(z1) ** 2
+        else:
+            a, slope = np.logaddexp(0.0, z1), expit(z1)
+        p = expit(a @ m.layer2_weights + m.layer2_bias)
+        dlogit = (slope * m.layer2_weights) @ m.layer1_weights
+        if proj is not None:
+            dlogit = dlogit @ proj
+        assert_array_equal(m.input_gradient(x, y), (p - y)[:, None] * dlogit)
+        assert_array_equal(m.predict_proba(x), p)
