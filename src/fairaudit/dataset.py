@@ -7,17 +7,20 @@ learning still can.
 
 CSV files must have a header row.  Rows containing a missing cell (empty
 string, ``NA``, ``NaN``, ``nan`` or ``?``) are dropped during loading;
-infinite cells such as ``inf`` are errors.
+non-numeric cells and infinite cells such as ``inf`` are errors.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .linalg import fields_equal
 
 MISSING_TOKENS = {"", "na", "nan", "?"}
 
@@ -50,7 +53,7 @@ def _check_binary_column(values: np.ndarray, name: str) -> np.ndarray:
     return values.astype(np.int64)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     feature_names: tuple[str, ...]
     features: np.ndarray
@@ -58,6 +61,8 @@ class Dataset:
     protected: dict[str, np.ndarray]
     label_name: str = "label"
     standardization: dict[str, tuple[float, float]] = field(default_factory=dict)
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         self.feature_names = tuple(self.feature_names)
@@ -83,6 +88,17 @@ class Dataset:
         return self.features.shape[0]
 
 
+def _cell_value(path, lineno: int, cell: str, name: str, kind: str) -> float:
+    """One cell as a finite float, or the error that names its file, line and column."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: non-numeric {kind} cell {cell!r} in column {name!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: non-finite {kind} cell {cell!r} in column {name!r}")
+    return value
+
+
 def load_csv(path, label_column: str, protected_columns=(), standardize: bool = False) -> Dataset:
     """Parse a headered CSV into a Dataset.
 
@@ -91,7 +107,14 @@ def load_csv(path, label_column: str, protected_columns=(), standardize: bool = 
     values outside {0, 1} are z-scored (population standard deviation) and
     the applied (mean, sd) pairs are recorded on the returned dataset;
     binary and constant columns are left untouched.
+
+    The file is read in one pass: each row is converted as it is read and
+    appended to one float64 buffer, which becomes the table at the end.
+    The first ragged row, non-numeric cell or non-finite cell in file
+    order (row, then column) raises.
     """
+    from array import array  # only commands that read a CSV need it
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -104,41 +127,34 @@ def load_csv(path, label_column: str, protected_columns=(), standardize: bool = 
         for required in (label_column, *protected_columns):
             if required not in header:
                 raise ValueError(f"{path}: column {required!r} not found in header")
-        rows = []
+        kind_of = {
+            h: "label" if h == label_column else "protected" if h in protected_columns else "feature" for h in header
+        }
+        width = len(header)
+        table = array("d")
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            if any(cell.strip().lower() in MISSING_TOKENS for cell in row):
-                continue
-            rows.append((lineno, row))
-    if not rows:
+            if len(row) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                values = None
+            # a sum is finite only if every term is, so most rows need no cell-by-cell look
+            if values is None or not math.isfinite(sum(values)):
+                if any(cell.strip().lower() in MISSING_TOKENS for cell in row):
+                    continue
+                values = [_cell_value(path, lineno, cell, h, kind_of[h]) for cell, h in zip(row, header)]
+            table.extend(values)
+    if not table:
         raise ValueError(f"{path}: no complete rows after dropping missing entries")
 
-    protected_set = set(protected_columns)
-    feature_names = tuple(h for h in header if h != label_column and h not in protected_set)
-    col_of = {h: i for i, h in enumerate(header)}
-
-    def parse(name: str, kind: str) -> np.ndarray:
-        j = col_of[name]
-        out = np.empty(len(rows))
-        for i, (lineno, row) in enumerate(rows):
-            try:
-                out[i] = float(row[j])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric {kind} cell {row[j]!r} in column {name!r}"
-                ) from None
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            lineno, row = rows[bad[0]]
-            raise ValueError(f"{path}:{lineno}: non-finite {kind} cell {row[j]!r} in column {name!r}")
-        return out
-
-    features = np.column_stack([parse(name, "feature") for name in feature_names]) if feature_names else np.empty(
-        (len(rows), 0)
-    )
-    labels = _check_binary_column(parse(label_column, "label"), label_column)
-    protected = {name: _check_binary_column(parse(name, "protected"), name) for name in protected_columns}
+    rows = np.frombuffer(table, dtype=np.float64).reshape(-1, width)
+    feature_names = tuple(h for h in header if kind_of[h] == "feature")
+    col_of = {h: j for j, h in enumerate(header)}
+    # take() copies into a C-ordered array, the layout the models' BLAS calls expect
+    features = rows.take([col_of[h] for h in feature_names], axis=1)
+    labels = _check_binary_column(rows[:, col_of[label_column]], label_column)
+    protected = {name: _check_binary_column(rows[:, col_of[name]], name) for name in protected_columns}
 
     standardization: dict[str, tuple[float, float]] = {}
     if standardize:
@@ -179,6 +195,27 @@ def save_csv(ds: Dataset, path) -> None:
     atomic_write_text(path, dataset_to_csv(ds))
 
 
+class _Lines:
+    """A header and the rows ``body[i]`` for ``i`` in ``order``, written one line at a time.
+
+    Iterating yields each line with its newline, so no joined copy of the
+    file is built; ``len`` is the number of lines, header included.
+    """
+
+    def __init__(self, header: str, body: list[str], order):
+        self.header = header
+        self.body = body
+        self.order = order
+
+    def __len__(self) -> int:
+        return 1 + len(self.order)
+
+    def __iter__(self):
+        yield self.header + "\n"
+        for i in self.order:
+            yield self.body[i] + "\n"
+
+
 def split_csv(path, train_path, audit_path, train_fraction: float, seed: int) -> tuple[int, int]:
     """Shuffle a CSV's data rows with a seeded RNG into disjoint train/audit files.
 
@@ -198,8 +235,6 @@ def split_csv(path, train_path, audit_path, train_fraction: float, seed: int) ->
     order = np.random.default_rng(seed).permutation(len(body))
     n_train = int(round(train_fraction * len(body)))
     n_train = min(max(n_train, 1), len(body) - 1)
-    train_rows = [body[i] for i in order[:n_train]]
-    audit_rows = [body[i] for i in order[n_train:]]
-    atomic_write_text(train_path, "\n".join([header, *train_rows]) + "\n")
-    atomic_write_text(audit_path, "\n".join([header, *audit_rows]) + "\n")
-    return len(train_rows), len(audit_rows)
+    atomic_write_text(train_path, _Lines(header, body, order[:n_train]))
+    atomic_write_text(audit_path, _Lines(header, body, order[n_train:]))
+    return n_train, len(body) - n_train

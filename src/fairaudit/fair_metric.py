@@ -21,16 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .linalg import DEFAULT_RANK_TOL, as_matrix, orthonormal_basis, projector_orthogonal_to
+from .linalg import DEFAULT_RANK_TOL, as_matrix, fields_equal, orthonormal_basis, projector_orthogonal_to
 
 SYMMETRY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FairMetric:
     """Squared pseudo-metric d^2(x1, x2) = (x1-x2)' Sigma (x1-x2)."""
 
     sigma: np.ndarray
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         s = as_matrix(self.sigma, "sigma")

@@ -8,6 +8,8 @@ so values can be shared freely across concurrent workers.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-8
@@ -31,6 +33,28 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def _values_equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_values_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def fields_equal(self, other):
+    """``__eq__`` for dataclasses with array fields, which ``==`` cannot compare.
+
+    Instances of the same class are equal when every field with
+    ``compare=True`` is: arrays by ``np.array_equal`` (so a shape mismatch,
+    or ``None`` against an array, is unequal), dicts key by key, and other
+    values by ``==``.  Use it with ``@dataclass(eq=False)``, which leaves
+    the class unhashable.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(_values_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
 
 
 def quadratic_form(m, v) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, fields_equal
 
 # Probabilities are clamped to [P_FLOOR, 1 - P_FLOOR] inside the loss, which
 # bounds it to [LOSS_FLOOR, LOSS_CAP].  The positive floor keeps loss ratios
@@ -106,7 +106,7 @@ def _as_batch(x, dim: int):
     return arr, single
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogisticModel:
     """Linear logit classifier: p(x) = expit(bias + w . (P x))."""
 
@@ -115,6 +115,8 @@ class LogisticModel:
     projector: np.ndarray | None = None
     # d logit / dx = P w, the same for every input
     _logit_gradient: np.ndarray = field(init=False, repr=False, compare=False)
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
@@ -160,7 +162,7 @@ class LogisticModel:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpModel:
     """Two-layer network with a smooth activation and a linear output logit."""
 
@@ -170,6 +172,8 @@ class MlpModel:
     layer2_bias: float
     activation: str = "tanh"
     projector: np.ndarray | None = None
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "layer1_weights", np.asarray(self.layer1_weights, dtype=np.float64))

@@ -1,8 +1,23 @@
+import csv
+import io
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from fairaudit.dataset import Dataset, atomic_write_text, dataset_to_csv, load_csv, save_csv, split_csv
+from fairaudit import dataset
+from fairaudit.dataset import (
+    Dataset,
+    atomic_write_text,
+    dataset_to_csv,
+    load_csv,
+    save_csv,
+    split_csv,
+)
 
 BASIC = """age,income,member,outcome
 1.0,10.5,0,1
@@ -189,3 +204,220 @@ def test_atomic_write_streams_chunks(tmp_path):
     atomic_write_text(path, (f"line {i}\n" for i in range(3)))
     assert path.read_text() == "line 0\nline 1\nline 2\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def reference_load(path, text, label, protected):
+    """The documented ingest rules, one cell at a time: the features, labels
+    and protected columns ``load_csv`` must return, or the text of its error."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    header = rows[0]
+    kind = {h: "label" if h == label else "protected" if h in protected else "feature" for h in header}
+    table = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            return f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+        if any(cell.strip().lower() in ("", "na", "nan", "?") for cell in row):
+            continue
+        values = []
+        for cell, name in zip(row, header):
+            try:
+                value = float(cell)
+            except ValueError:
+                return f"{path}:{lineno}: non-numeric {kind[name]} cell {cell!r} in column {name!r}"
+            if not math.isfinite(value):
+                return f"{path}:{lineno}: non-finite {kind[name]} cell {cell!r} in column {name!r}"
+            values.append(value)
+        table.append(values)
+    if not table:
+        return f"{path}: no complete rows after dropping missing entries"
+    columns = {name: [values[j] for values in table] for j, name in enumerate(header)}
+    features = [[values[j] for j, h in enumerate(header) if kind[h] == "feature"] for values in table]
+    return features, columns[label], {name: columns[name] for name in protected}
+
+
+def _spelled(draw, body):
+    """A cell's text as it may appear in a file: padded, and maybe quoted."""
+    cell = draw(st.sampled_from(["", " ", "  "])) + body + draw(st.sampled_from(["", " "]))
+    return f'"{cell}"' if draw(st.booleans()) else cell
+
+
+@st.composite
+def numeric_cells(draw):
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    digits = draw(st.sampled_from(["0", "7", "12.5", ".25", "3.", "1_000", "0.000123"]))
+    exponent = draw(st.sampled_from(["", "e3", "E-2", "e+10", "e-300"]))
+    return _spelled(draw, sign + digits + exponent)
+
+
+@st.composite
+def binary_cells(draw):
+    return _spelled(draw, draw(st.sampled_from(["0", "1", "1.0", "-0", "+1", "0e5", "1E0"])))
+
+
+@st.composite
+def missing_cells(draw):
+    return _spelled(draw, draw(st.sampled_from(["", "na", "NA", "nA", "nan", "NaN", "NAN", "?"])))
+
+
+@st.composite
+def bad_cells(draw):
+    return _spelled(draw, draw(st.sampled_from(["oops", "1,5", "0x10", "inf", "-Infinity", "1e999", "+nan"])))
+
+
+@st.composite
+def csv_files(draw):
+    """A headered CSV of features, one label and one protected column in a
+    drawn order, with missing, non-numeric, non-finite and ragged rows mixed in."""
+    n_features = draw(st.integers(0, 3))
+    header = draw(st.permutations([f"f{j}" for j in range(n_features)] + ["label", "p"]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = []
+        for name in header:
+            good = binary_cells() if name in ("label", "p") else numeric_cells()
+            choice = st.one_of(good, missing_cells(), bad_cells()) if draw(st.integers(0, 9)) == 0 else good
+            cells.append(draw(choice))
+        shape = draw(st.integers(0, 19))
+        if shape == 0:
+            cells.pop()
+        elif shape == 1:
+            cells.append(draw(numeric_cells()))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_files())
+def test_load_csv_matches_reference_parser(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = reference_load(path, text, "label", ("p",))
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            load_csv(path, label_column="label", protected_columns=("p",))
+        assert str(info.value) == expected
+        return
+    features, labels, protected = expected
+    ds = load_csv(path, label_column="label", protected_columns=("p",))
+    assert ds.features.tolist() == features
+    assert_array_equal(ds.labels, labels)
+    assert_array_equal(ds.protected["p"], protected["p"])
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("a,label\n1.0,oops\nbad,1\n", 2, "non-numeric label cell 'oops' in column 'label'"),
+        ("p,a,label\nx,y,1\n", 2, "non-numeric protected cell 'x' in column 'p'"),
+        ("a,label\n1.0,inf\n-inf,1\n", 2, "non-finite label cell 'inf' in column 'label'"),
+        ("p,a,label\n1e999,nope,1\n", 2, "non-finite protected cell '1e999' in column 'p'"),
+        ("a,label\noops,1\n1.0\n", 2, "non-numeric feature cell 'oops' in column 'a'"),
+        ("a,label\n1.0\noops,1\n", 2, "expected 2 cells, got 1"),
+        ("a,b,label\n1.0,2.0,1\nx,,1\n3.0,inf,1\n", 4, "non-finite feature cell 'inf' in column 'b'"),
+    ],
+    ids=[
+        "non-numeric-row-before-column",
+        "non-numeric-column-order",
+        "non-finite-row-before-column",
+        "non-finite-before-non-numeric",
+        "bad-cell-before-ragged-row",
+        "ragged-row-before-bad-cell",
+        "missing-row-dropped-before-bad-cell",
+    ],
+)
+def test_first_bad_cell_in_file_order(tmp_path, text, line, message):
+    path = write(tmp_path, text)
+    with pytest.raises(ValueError) as info:
+        load_csv(path, label_column="label", protected_columns=("p",) if text.startswith("p,") else ())
+    assert str(info.value) == f"{path}:{line}: {message}"
+
+
+def test_features_c_contiguous_float64(tmp_path):
+    path = write(tmp_path, "a,label,p,b,c\n1.0,1,0,2.0,3.0\n4.0,0,1,5.0,6.0\n")
+    ds = load_csv(path, label_column="label", protected_columns=("p",))
+    assert ds.features.flags.c_contiguous
+    assert ds.features.dtype == np.float64
+    assert_array_equal(ds.features, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert ds.labels.dtype == ds.protected["p"].dtype == np.int64
+
+
+def test_load_csv_peak_memory_stays_near_the_table(tmp_path):
+    rows, dim = 5000, 40
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((rows, dim))
+    bits = rng.integers(0, 2, size=(rows, 3))
+    lines = [",".join([f"f{j}" for j in range(dim)] + ["label", "p", "q"])]
+    lines += [",".join([f"{v:.6f}" for v in x[i]] + [str(b) for b in bits[i]]) for i in range(rows)]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    load_csv(path, label_column="label", protected_columns=("p", "q"))
+    tracemalloc.start()
+    try:
+        load_csv(path, label_column="label", protected_columns=("p", "q"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * rows * (dim + 3) * 8
+
+
+class TestDatasetEquality:
+    @staticmethod
+    def make(**changes):
+        params = dict(
+            feature_names=("a", "b"),
+            features=[[1.0, 2.0], [3.0, 4.0]],
+            labels=[0, 1],
+            protected={"p": [0, 1], "q": [1, 1]},
+        )
+        params.update(changes)
+        return Dataset(**params)
+
+    def test_equal_when_every_field_is(self):
+        assert self.make() == self.make()
+        assert self.make() != self.make(features=[[1.0, 2.0], [3.0, 4.5]])
+        assert self.make() != self.make(labels=[1, 1])
+        assert self.make() != self.make(feature_names=("a", "c"))
+        assert self.make() != self.make(label_name="y")
+        assert self.make() != self.make(standardization={"a": (0.0, 1.0)})
+
+    def test_shape_mismatch_is_unequal(self):
+        wide = self.make(feature_names=("a", "b", "c"), features=[[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]])
+        assert self.make() != wide
+
+    def test_protected_compared_key_by_key(self):
+        assert self.make() == self.make(protected={"q": [1, 1], "p": [0, 1]})
+        assert self.make() != self.make(protected={"p": [0, 1], "q": [1, 0]})
+        assert self.make() != self.make(protected={"p": [0, 1]})
+        assert self.make() != self.make(protected={"p": [0, 1], "r": [1, 1]})
+
+    def test_loaded_round_trip_is_equal(self, tmp_path):
+        ds = load_csv(write(tmp_path, BASIC), label_column="outcome", protected_columns=("member",))
+        out = tmp_path / "saved.csv"
+        save_csv(ds, out)
+        assert load_csv(out, label_column="outcome", protected_columns=("member",)) == ds
+
+    def test_other_types_are_not_implemented(self):
+        assert self.make().__eq__(dataset_to_csv(self.make())) is NotImplemented
+
+    def test_hash_stays_unsupported(self):
+        with pytest.raises(TypeError):
+            hash(self.make())
+
+
+def test_split_streams_lines_with_the_same_bytes(tmp_path, monkeypatch):
+    src = write(tmp_path, "x,label\n1.0,0\n\n2.0,1\n3.0,0\n4.0,1", "full.csv")
+    written = []
+
+    def capture(path, chunks):
+        written.append((len(chunks), list(chunks)))
+        atomic_write_text(path, written[-1][1])
+
+    monkeypatch.setattr(dataset, "atomic_write_text", capture)
+    assert split_csv(src, tmp_path / "t.csv", tmp_path / "a.csv", 0.5, seed=4) == (2, 2)
+    rows = []
+    for (length, chunks), name in zip(written, ("t.csv", "a.csv")):
+        assert length == len(chunks) == 3
+        assert chunks[0] == "x,label\n"
+        assert all(chunk.endswith("\n") and chunk.count("\n") == 1 for chunk in chunks)
+        assert (tmp_path / name).read_text() == "".join(chunks)
+        rows += chunks[1:]
+    assert sorted(rows) == ["1.0,0\n", "2.0,1\n", "3.0,0\n", "4.0,1\n"]

@@ -213,3 +213,23 @@ def test_metric_serialization_round_trip():
 def test_metric_dict_dimension_check():
     with pytest.raises(ValueError, match="dimension"):
         metric_from_dict({"dim": 3, "sigma": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+class TestMetricEquality:
+    def test_equal_when_sigma_is(self):
+        m = rotated_coordinate_metric(math.radians(7.0))
+        assert m == metric_from_dict(json.loads(json.dumps(m.to_dict())))
+        assert FairMetric(np.eye(2)) == FairMetric(np.eye(2))
+        assert FairMetric(np.eye(2)) != FairMetric(2.0 * np.eye(2))
+
+    def test_shape_mismatch_is_unequal(self):
+        assert FairMetric(np.eye(2)) != FairMetric(np.eye(3))
+
+    def test_other_types_are_not_implemented(self):
+        m = FairMetric(np.eye(2))
+        assert m.__eq__(np.eye(2)) is NotImplemented
+        assert m.__eq__(m.to_dict()) is NotImplemented
+
+    def test_hash_stays_unsupported(self):
+        with pytest.raises(TypeError):
+            hash(FairMetric(np.eye(2)))

@@ -11,10 +11,11 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(fairaudit.__file__)))
 
 def test_cli_import_skips_modules_only_some_commands_need():
     # statistics (normal quantiles) brings decimal and fractions; a threaded
-    # audit brings concurrent.futures; both are imported where they are used
+    # audit brings concurrent.futures; CSV ingest buffers rows in an array;
+    # each is imported where it is used
     code = (
         "import sys, fairaudit.cli; "
-        "print(' '.join(m for m in ('decimal', 'fractions', 'concurrent.futures') if m in sys.modules))"
+        "print(' '.join(m for m in ('decimal', 'fractions', 'concurrent.futures', 'array') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

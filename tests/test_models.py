@@ -275,3 +275,72 @@ class TestGradientFormulas:
             dlogit = dlogit @ proj
         assert_array_equal(m.input_gradient(x, y), (p - y)[:, None] * dlogit)
         assert_array_equal(m.predict_proba(x), p)
+
+
+class TestEquality:
+    """``==`` compares array fields by value; ``hash`` stays unsupported."""
+
+    @staticmethod
+    def mlp(**changes):
+        params = dict(
+            layer1_weights=[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+            layer1_bias=[0.1, 0.2, 0.3],
+            layer2_weights=[1.0, -1.0, 0.5],
+            layer2_bias=0.4,
+        )
+        params.update(changes)
+        return MlpModel(**params)
+
+    def test_logistic_equal_when_every_field_is(self):
+        a = LogisticModel(weights=[1.0, 2.0], bias=0.1)
+        assert a == LogisticModel(weights=[1.0, 2.0], bias=0.1)
+        assert not a != LogisticModel(weights=[1.0, 2.0], bias=0.1)
+        assert a != LogisticModel(weights=[1.0, 2.5], bias=0.1)
+        assert a != LogisticModel(weights=[1.0, 2.0], bias=0.2)
+        proj = [[1.0, 0.0], [0.0, 0.0]]
+        assert LogisticModel([1.0, 2.0], 0.1, proj) == LogisticModel([1.0, 2.0], 0.1, proj)
+
+    def test_logistic_array_shape_and_none_mismatches_are_unequal(self):
+        a = LogisticModel(weights=[1.0, 2.0], bias=0.1)
+        assert a != LogisticModel(weights=[1.0, 2.0, 0.0], bias=0.1)
+        assert a != LogisticModel(weights=[1.0, 2.0], bias=0.1, projector=np.eye(2))
+        assert LogisticModel(weights=[1.0, 2.0], bias=0.1, projector=np.eye(2)) != a
+
+    def test_cached_logit_gradient_is_not_compared(self):
+        a = LogisticModel(weights=[1.0, 2.0], bias=0.1)
+        b = LogisticModel(weights=[1.0, 2.0], bias=0.1)
+        object.__setattr__(b, "_logit_gradient", np.array([9.0, 9.0]))
+        assert a == b
+
+    def test_mlp_equal_when_every_field_is(self):
+        assert self.mlp() == self.mlp()
+        assert self.mlp() != self.mlp(layer1_bias=[0.1, 0.2, 0.35])
+        assert self.mlp() != self.mlp(layer2_bias=0.5)
+        assert self.mlp() != self.mlp(activation="softplus")
+        assert self.mlp(projector=np.eye(2)) == self.mlp(projector=np.eye(2))
+
+    def test_mlp_array_shape_and_none_mismatches_are_unequal(self):
+        assert self.mlp() != self.mlp(projector=np.eye(2))
+        assert self.mlp(projector=np.eye(2)) != self.mlp(projector=2.0 * np.eye(2))
+        wide = self.mlp(
+            layer1_weights=[[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [5.0, 6.0, 0.0]],
+        )
+        assert self.mlp() != wide
+
+    def test_other_types_are_not_implemented(self):
+        logistic = LogisticModel(weights=[1.0, 2.0], bias=0.1)
+        assert logistic.__eq__(self.mlp()) is NotImplemented
+        assert self.mlp().__eq__(logistic) is NotImplemented
+        assert logistic.__eq__(logistic.to_dict()) is NotImplemented
+        assert logistic != self.mlp()
+        assert logistic != "logistic"
+
+    def test_hash_stays_unsupported(self):
+        with pytest.raises(TypeError):
+            hash(LogisticModel(weights=[1.0, 2.0], bias=0.1))
+        with pytest.raises(TypeError):
+            hash(self.mlp())
+
+    def test_serialization_round_trip_is_equal(self):
+        model = self.mlp(projector=np.eye(2))
+        assert model_from_dict(json.loads(json.dumps(model.to_dict()))) == model
