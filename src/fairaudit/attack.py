@@ -27,11 +27,13 @@ process samples concurrently in any order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fair_metric import FairMetric
+from .linalg import fields_equal
 
 DIVERGENCE_RADIUS = 1e6
 
@@ -101,7 +103,7 @@ def constant_config_for_horizon(lam: float, horizon: float, eta: float = 0.01) -
     return AttackConfig(lam=lam, num_steps=int(round(horizon / eta)), schedule="constant", eta=eta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackTrace:
     """Per-step record of one attack: iterates x_0..x_N, losses, and penalties.
 
@@ -115,6 +117,8 @@ class AttackTrace:
     penalties: np.ndarray  # (N+1,)
     step_sizes: np.ndarray  # (N,)
     horizon: float
+
+    __eq__ = fields_equal
 
     def objective(self) -> np.ndarray:
         return self.losses - self.penalties
@@ -193,7 +197,10 @@ def unfair_map_batch(
     Each step updates the whole state at once; a mask that freezes the
     diverged rows exists only after the first divergence.  The model sees
     the full batch every step, so it may carry per-row parameters
-    (``sim.sweep_heatmap`` stacks grid cells this way).
+    (``sim.sweep_heatmap`` stacks grid cells this way).  While no row is
+    frozen, a step whose every displacement entry is within
+    ``DIVERGENCE_RADIUS / (2 sqrt(d))`` cannot have a row past the radius,
+    so it skips the per-row norms.
 
     The state, the field and the displacement live in ``(n, d)`` buffers
     allocated once per call, so a step allocates nothing of that size but
@@ -220,6 +227,9 @@ def unfair_map_batch(
     field = np.empty(x0.shape)
     moved = np.empty(x0.shape)
     kept[bounds[0] : bounds[1]] = x
+    # a row with no entry farther than this from x0 has norm at most R / 2, so it is within
+    # the radius R; None for an empty batch, which has no entries to bound
+    near = DIVERGENCE_RADIUS / (2.0 * math.sqrt(x0.shape[1])) if x0.size else None
     dead = None
     divergent: list[int] = []
     # overflow in a diverging row is detected below, so numpy need not warn about it
@@ -229,16 +239,18 @@ def unfair_map_batch(
             g *= eta
             np.add(g, x, out=x_next)
             np.subtract(x_next, x0, out=moved)
-            # NaN and inf fail the comparison too
-            bad = ~(np.einsum("ij,ij->i", moved, moved) <= DIVERGENCE_RADIUS**2)
-            if dead is not None:
-                bad &= ~dead
-            if np.any(bad):
-                bad_idx = np.flatnonzero(bad)
-                if not skip_divergent:
-                    raise DivergenceError(f"attack diverged at step {k} on sample {int(bad_idx[0])}")
-                divergent.extend(bad_idx.tolist())
-                dead = bad if dead is None else dead | bad
+            # exact per-row norms only when the entry bound cannot clear every row (NaN and inf
+            # fail both comparisons) or a row is frozen, whose next candidate seldom passes it
+            if dead is not None or near is None or not (-near <= moved.min() and moved.max() <= near):
+                bad = ~(np.einsum("ij,ij->i", moved, moved) <= DIVERGENCE_RADIUS**2)
+                if dead is not None:
+                    bad &= ~dead
+                if np.any(bad):
+                    bad_idx = np.flatnonzero(bad)
+                    if not skip_divergent:
+                        raise DivergenceError(f"attack diverged at step {k} on sample {int(bad_idx[0])}")
+                    divergent.extend(bad_idx.tolist())
+                    dead = bad if dead is None else dead | bad
             if dead is not None:
                 np.copyto(x_next, x, where=dead[:, None])
             x, x_next = x_next, x

@@ -37,6 +37,7 @@ import numpy as np
 
 from .attack import AttackConfig, unfair_map_batch
 from .fair_metric import FairMetric
+from .linalg import fields_equal
 
 INDEPENDENCE_NOTE = "audit data assumed independent of the model's training data"
 
@@ -182,7 +183,7 @@ class ErrorRateReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuditReport:
     """Everything an audit produces, plus the per-sample values behind it.
 
@@ -208,6 +209,8 @@ class AuditReport:
     ratios: np.ndarray
     pre01: np.ndarray
     post01: np.ndarray
+
+    __eq__ = fields_equal
 
     def to_dict(self) -> dict:
         return {

@@ -57,19 +57,6 @@ def fields_equal(self, other):
     return all(_values_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
 
 
-def quadratic_form(m, v) -> float:
-    """Evaluate v' M v for a square matrix M and a vector v of matching size."""
-    mm = as_matrix(m, "m")
-    vv = as_vector(v, "v")
-    if mm.shape[0] != mm.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {mm.shape}")
-    if mm.shape[0] != vv.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {mm.shape[0]}x{mm.shape[1]}, vector has length {vv.shape[0]}"
-        )
-    return float(vv @ mm @ vv)
-
-
 def orthonormal_basis(vectors, rank_tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the span of ``vectors``.
 

@@ -269,7 +269,7 @@ def load_model(path):
         return model_from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainConfig:
     """Settings for the mini-batch gradient-descent trainer.
 
@@ -287,6 +287,8 @@ class TrainConfig:
     preprocess_projector: np.ndarray | None = None
     hidden_units: int = 50
     activation: str = "tanh"
+
+    __eq__ = fields_equal
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -44,7 +44,7 @@ from . import inference
 from .attack import AttackConfig, constant_config_for_horizon, unfair_map_batch
 from .dataset import Dataset
 from .fair_metric import FairMetric
-from .linalg import spectral_norm
+from .linalg import fields_equal, spectral_norm
 from .models import _check_labels, expit, loss_from_logit
 
 BIAS_CLAMP = 50.0
@@ -180,26 +180,43 @@ class HeatmapCell:
     divergent: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StackedLogistic:
     """One logistic model per row: row i has logit ``weights[i] . x_i + bias[i]``.
 
     It has the ``loss``/``input_gradient`` pair the attack needs, for
     batches with exactly one row per stacked model, so the cells of a sweep
     can be attacked as one state.
+
+    The logit is summed column by column, ``x[:, 0] * w[:, 0] + x[:, 1] *
+    w[:, 1] + ...``, which costs a few whole-column operations instead of
+    one short inner loop per row.  For ``d <= 2`` it gives exactly the bits
+    of ``np.einsum("ij,ij->i", x, w)``; above that it is a plain sequential
+    sum, which ``einsum`` may order differently.
     """
 
     weights: np.ndarray  # (m, d)
     bias: np.ndarray  # (m,)
 
+    __eq__ = fields_equal
+
     def _logits(self, x):
-        return np.einsum("ij,ij->i", x, self.weights) + self.bias
+        w = self.weights
+        z = x[:, 0] * w[:, 0]
+        for j in range(1, w.shape[1]):
+            z += x[:, j] * w[:, j]
+        z += self.bias
+        return z
 
     def loss(self, x, y):
         return loss_from_logit(self._logits(x), y)
 
     def input_gradient(self, x, y):
-        return (expit(self._logits(x)) - y)[:, None] * self.weights
+        s = expit(self._logits(x)) - y
+        grad = np.empty(self.weights.shape)
+        for j in range(grad.shape[1]):
+            np.multiply(s, self.weights[:, j], out=grad[:, j])
+        return grad
 
 
 def sweep_heatmap(

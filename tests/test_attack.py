@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -580,3 +581,113 @@ class TestOutBuffers:
         y = np.ones(7)
         expected = model.input_gradient(x, y) - 0.8 * self.METRIC.distance_sq_gradient(x, x0)
         assert_array_equal(flow_field(model, self.METRIC, 0.8, x, x0, y, out=np.empty((7, 3))), expected)
+
+
+class RowGradientStub:
+    """Constant per-row gradient; from call ``bad_from`` on, row ``bad_row`` becomes ``bad_value``."""
+
+    def __init__(self, grad, bad_row=None, bad_value=np.nan, bad_from=1):
+        self.grad = np.asarray(grad, dtype=np.float64)
+        self.bad_row, self.bad_value, self.bad_from = bad_row, bad_value, bad_from
+        self.calls = 0
+
+    def loss(self, x, y):
+        return np.ones(np.atleast_2d(x).shape[0])
+
+    def input_gradient(self, x, y):
+        self.calls += 1
+        g = self.grad.copy()
+        if self.bad_row is not None and self.calls >= self.bad_from:
+            g[self.bad_row] = self.bad_value
+        return g
+
+
+class TestDivergencePreCheck:
+    """Skipping the per-row norm on steps that cannot diverge changes no outcome."""
+
+    DIM = 40
+    METRIC = FairMetric(sigma=np.zeros((DIM, DIM)))
+    CFG = AttackConfig(lam=1.0, num_steps=8, eta=1.0)
+
+    def far_row_grad(self, rows=4, far=1):
+        # row `far` moves 0.1 R per entry each step: at step 2 every entry is 0.2 R < R,
+        # yet its norm is 0.2 R sqrt(40) ~ 1.26 R
+        g = np.ones((rows, self.DIM))
+        g[far] = 0.1 * DIVERGENCE_RADIUS
+        return g
+
+    def test_row_past_the_radius_with_every_entry_inside_it_raises(self):
+        x0 = np.zeros((4, self.DIM))
+        with pytest.raises(DivergenceError, match=r"at step 2 on sample 1$"):
+            unfair_map_batch(RowGradientStub(self.far_row_grad()), self.METRIC, self.CFG, x0, np.zeros(4))
+        # one step leaves the row at norm 0.63 R, inside the radius
+        out, divergent = unfair_map_batch(
+            RowGradientStub(self.far_row_grad()), self.METRIC, AttackConfig(lam=1.0, num_steps=1, eta=1.0), x0, np.zeros(4)
+        )
+        assert divergent == []
+        assert np.linalg.norm(out[1]) < DIVERGENCE_RADIUS
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_row_raises_at_its_step(self, value):
+        stub = RowGradientStub(np.ones((4, self.DIM)), bad_row=2, bad_value=value, bad_from=3)
+        with pytest.raises(DivergenceError, match=r"at step 3 on sample 2$"):
+            unfair_map_batch(stub, self.METRIC, self.CFG, np.zeros((4, self.DIM)), np.zeros(4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rows_freeze_at_the_reference_loop_steps(self, value):
+        def stub():
+            # row 1 leaves the radius by its norm at step 2, row 3 turns non-finite at step 5
+            return RowGradientStub(self.far_row_grad(rows=5), bad_row=3, bad_value=value, bad_from=5)
+
+        x0 = np.random.default_rng(12).normal(size=(5, self.DIM))
+        y = np.zeros(5)
+        every_step = range(self.CFG.num_steps + 1)
+        out, divergent, kept = unfair_map_batch(
+            stub(), self.METRIC, self.CFG, x0, y, skip_divergent=True, keep_steps=every_step
+        )
+        ref, ref_divergent, ref_kept = reference_euler(stub(), self.METRIC, self.CFG, x0, y, keep_steps=every_step)
+        assert divergent == ref_divergent == [1, 3]
+        assert_array_equal(out, ref)
+        assert_array_equal(kept, ref_kept)
+        assert_array_equal(kept[1:, 1], np.broadcast_to(kept[1, 1], (self.CFG.num_steps, self.DIM)))
+        assert_array_equal(kept[4:, 3], np.broadcast_to(kept[4, 3], (self.CFG.num_steps - 3, self.DIM)))
+
+    def test_clean_batch_skips_the_per_row_norm(self, sim_dataset, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def counting_einsum(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        x, y = sim_dataset.features, sim_dataset.labels.astype(float)
+        rows = x.shape[0]
+        model = StackedLogistic(weights=np.tile([3.0, 1.0], (rows, 1)), bias=np.full(rows, 0.5))
+        _, divergent = unfair_map_batch(model, rotated_coordinate_metric(0.0), sim_preset(), x, y)
+        assert divergent == []
+        assert calls == []
+        # the counter sees the exact check once a row is frozen
+        stub = RowGradientStub(np.ones((3, 2)), bad_row=0, bad_value=np.nan)
+        unfair_map_batch(stub, FairMetric(sigma=np.eye(2)), self.CFG, np.zeros((3, 2)), np.zeros(3), skip_divergent=True)
+        assert calls == ["ij,ij->i"] * self.CFG.num_steps
+
+
+class TestTraceEquality:
+    @staticmethod
+    def trace(num_steps=3, x0=0.1):
+        m = LogisticModel(weights=np.array([1.0, -0.5]), bias=0.0)
+        cfg = AttackConfig(lam=1.0, num_steps=num_steps, eta=0.1)
+        return unfair_map(m, FairMetric(sigma=np.eye(2)), cfg, np.array([x0, 0.2]), 1.0, record_trace=True)[1]
+
+    def test_equal_when_every_field_is(self):
+        assert self.trace() == self.trace()
+        assert not self.trace() != self.trace()
+        assert self.trace() != self.trace(x0=0.3)
+
+    def test_shape_and_none_mismatches_are_unequal(self):
+        assert self.trace() != self.trace(num_steps=4)
+        assert self.trace() != dataclasses.replace(self.trace(), losses=None)
+        assert dataclasses.replace(self.trace(), losses=None) != self.trace()
+        with pytest.raises(TypeError):
+            hash(self.trace())

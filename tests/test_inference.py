@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -250,6 +252,20 @@ class TestAudit:
         r2 = audit(unfair_sim_model, metric, sim_preset(), sim_dataset.features, sim_dataset.labels)
         assert r1.to_json() == r2.to_json()
         assert_allclose(r1.ratios, r2.ratios, rtol=0, atol=0)
+
+    def test_report_equality_compares_arrays_by_value(self, sim_dataset, unfair_sim_model):
+        metric = rotated_coordinate_metric(0.0)
+        r1 = audit(unfair_sim_model, metric, sim_preset(), sim_dataset.features, sim_dataset.labels)
+        r2 = audit(unfair_sim_model, metric, sim_preset(), sim_dataset.features, sim_dataset.labels)
+        assert r1 == r2
+        assert not r1 != r2
+        assert r1 != dataclasses.replace(r2, ratios=r2.ratios * 2.0)
+        assert r1 != dataclasses.replace(r2, index=r2.index[:-1])
+        assert r1 != dataclasses.replace(r2, ratios=None)
+        assert dataclasses.replace(r2, ratios=None) != r1
+        assert r1 != dataclasses.replace(r2, error_rate=None)
+        with pytest.raises(TypeError):
+            hash(r1)
 
     def test_threads_do_not_change_the_outcome(self, sim_dataset, unfair_sim_model):
         metric = rotated_coordinate_metric(0.0)

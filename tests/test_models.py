@@ -344,3 +344,17 @@ class TestEquality:
     def test_serialization_round_trip_is_equal(self):
         model = self.mlp(projector=np.eye(2))
         assert model_from_dict(json.loads(json.dumps(model.to_dict()))) == model
+
+    def test_train_config_equal_when_every_field_is(self):
+        assert TrainConfig() == TrainConfig()
+        assert TrainConfig(preprocess_projector=np.eye(2)) == TrainConfig(preprocess_projector=np.eye(2))
+        assert not TrainConfig(preprocess_projector=np.eye(2)) != TrainConfig(preprocess_projector=np.eye(2))
+        assert TrainConfig(preprocess_projector=np.eye(2)) != TrainConfig(preprocess_projector=2.0 * np.eye(2))
+        assert TrainConfig() != TrainConfig(seed=1)
+
+    def test_train_config_shape_and_none_mismatches_are_unequal(self):
+        assert TrainConfig(preprocess_projector=np.eye(2)) != TrainConfig(preprocess_projector=np.eye(3))
+        assert TrainConfig() != TrainConfig(preprocess_projector=np.eye(2))
+        assert TrainConfig(preprocess_projector=np.eye(2)) != TrainConfig()
+        with pytest.raises(TypeError):
+            hash(TrainConfig())

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from fairaudit import attack, sim
-from fairaudit.models import LogisticModel, logit
+from fairaudit.models import LogisticModel, expit, logit
 
 
 class TestGenerate:
@@ -348,6 +348,59 @@ class TestStackedSweep:
         grid = sim.GridSpec(w1_values=(0.0,), w2_values=(0.0,))
         with pytest.raises(ValueError, match="0 or 1"):
             sim.sweep_heatmap(sim_dataset.features, labels, grid, true_metric, attack.sim_preset())
+
+
+class EinsumStackedLogistic(sim.StackedLogistic):
+    """``StackedLogistic`` written with ``einsum`` for the logit and a broadcast for the gradient."""
+
+    def _logits(self, x):
+        return np.einsum("ij,ij->i", x, self.weights) + self.bias
+
+    def input_gradient(self, x, y):
+        return (expit(self._logits(x)) - y)[:, None] * self.weights
+
+
+class TestColumnwiseStackedLogistic:
+    """The column-wise sums give exactly the bits of the ``einsum`` formulas at the sweep's widths."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gradient_and_loss_match_einsum_formulas_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        for rows in (1, 7, sim.SWEEP_ROW_BLOCK, 5000):
+            w = rng.normal(scale=3.0, size=(rows, dim))
+            b = rng.normal(scale=2.0, size=rows)
+            x = rng.normal(scale=2.0, size=(rows, dim))
+            y = (rng.random(rows) < 0.5).astype(float)
+            new, old = sim.StackedLogistic(w, b), EinsumStackedLogistic(w, b)
+            assert new.input_gradient(x, y).tobytes() == old.input_gradient(x, y).tobytes()
+            assert new.loss(x, y).tobytes() == old.loss(x, y).tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [attack.sim_preset(), attack.AttackConfig(lam=100.0, num_steps=200, schedule="constant", eta=0.05)],
+        ids=["sim-preset", "unstable-step"],
+    )
+    def test_heatmap_bytes_match_einsum_formulas(self, sim_dataset, true_metric, cfg, monkeypatch):
+        x, y = sim_dataset.features, sim_dataset.labels
+        grid = TestStackedSweep.GRID
+        got = sim.heatmap_csv(sim.sweep_heatmap(x, y, grid, true_metric, cfg))
+        monkeypatch.setattr(sim, "StackedLogistic", EinsumStackedLogistic)
+        want = sim.heatmap_csv(sim.sweep_heatmap(x, y, grid, true_metric, cfg))
+        assert got == want
+        if cfg.schedule == "constant":
+            assert ",1\n" in got  # divergent cells are part of the comparison
+
+    def test_equality_compares_arrays_by_value(self):
+        a = sim.StackedLogistic(np.ones((2, 2)), np.zeros(2))
+        assert a == sim.StackedLogistic(np.ones((2, 2)), np.zeros(2))
+        assert not a != sim.StackedLogistic(np.ones((2, 2)), np.zeros(2))
+        assert a != sim.StackedLogistic(np.ones((2, 2)), np.array([0.0, 0.5]))
+        assert a != sim.StackedLogistic(np.ones((3, 2)), np.zeros(3))
+        assert a != sim.StackedLogistic(np.ones((2, 2)), None)
+        assert sim.StackedLogistic(np.ones((2, 2)), None) != a
+        assert a.__eq__(EinsumStackedLogistic(np.ones((2, 2)), np.zeros(2))) is NotImplemented
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 class TestSinglePassStoppingSweep:
