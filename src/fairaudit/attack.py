@@ -26,7 +26,6 @@ process samples concurrently in any order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -122,22 +121,6 @@ class AttackTrace:
 
     def objective(self) -> np.ndarray:
         return self.losses - self.penalties
-
-    def to_jsonl(self) -> str:
-        lines = []
-        for k in range(self.iterates.shape[0]):
-            lines.append(
-                json.dumps(
-                    {
-                        "step": k,
-                        "x": self.iterates[k].tolist(),
-                        "loss": float(self.losses[k]),
-                        "penalty": float(self.penalties[k]),
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + "\n"
 
 
 def flow_field(model, metric: FairMetric, lam: float, x, x0, y, out=None):

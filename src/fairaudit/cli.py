@@ -113,7 +113,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "delta": _Key(float, default=1.25),
         "skip_divergent": _Key(bool, default=False),
         "error_rate": _Key(bool, default=True),
-        "threads": _Key(int, default=1),
         "report_output": _Key(str, required=True),
         "samples_output": _Key(str, default=None),
         "trace_output": _Key(str, default=None),
@@ -334,7 +333,6 @@ def run_audit(cfg: dict) -> int:
         delta=cfg["delta"],
         skip_divergent=cfg["skip_divergent"],
         include_error_rate=cfg["error_rate"],
-        threads=cfg["threads"],
     )
     atomic_write_text(cfg["report_output"], report.to_json(extra={"config": cfg}))
     if cfg["samples_output"] is not None:

@@ -20,16 +20,13 @@ to the mean vector (A_n, B_n); the second moments are accumulated
 uncentered with a 1/n normalization, which yields the same quadratic form
 as the centered covariance because the mean cross terms cancel exactly.
 
-All statistics are pure folds over per-sample values; the audit runner may
-compute attacks in chunks concurrently and reduces them in index order, so
-reports never depend on scheduling.
+All statistics are pure folds over per-sample values.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -259,7 +256,6 @@ def audit(
     delta: float = 1.25,
     skip_divergent: bool = False,
     include_error_rate: bool = True,
-    threads: int = 1,
 ) -> AuditReport:
     """Attack every sample and assemble the full audit report.
 
@@ -275,26 +271,7 @@ def audit(
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("features must be (n, d) with matching 1-D labels")
     check_levels(alpha, delta)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    # one thread per chunk; more threads than CPUs only add overhead
-    threads = min(threads, os.cpu_count() or 1)
-
-    if threads == 1 or x.shape[0] < 2 * threads:
-        attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x, y, skip_divergent=skip_divergent)
-    else:
-        # imported here: concurrent.futures loads logging, traceback and queue
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(x.shape[0]), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(unfair_map_batch, model, metric, attack_cfg, x[c], y[c], skip_divergent)
-                for c in chunks
-            ]
-            parts = [f.result() for f in futures]
-        attacked = np.vstack([p[0] for p in parts])
-        divergent = sorted(int(c[i]) for c, p in zip(chunks, parts) for i in p[1])
+    attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x, y, skip_divergent=skip_divergent)
 
     keep = np.ones(x.shape[0], dtype=bool)
     keep[list(divergent)] = False

@@ -161,7 +161,9 @@ class GridSpec:
     def from_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
         if step <= 0 or hi < lo:
             raise ValueError("need step > 0 and hi >= lo")
-        count = int(round((hi - lo) / step)) + 1
+        # floor keeps the last value at or below hi; the slack absorbs quotients
+        # such as 0.3 / 0.1 = 2.9999999999999996
+        count = math.floor((hi - lo) / step + 1e-9) + 1
         return tuple(round(lo + k * step, 9) for k in range(count))
 
     @classmethod
@@ -350,7 +352,8 @@ def robustness_experiment(
     y = np.asarray(labels, dtype=np.float64)
     e = perturbation_direction(metric_exact.dim, perturb_seed)
     attacked, _ = unfair_map_batch(model, metric_exact, attack_cfg, x, y)
-    base = model.loss(attacked, y) / model.loss(x, y)
+    clean = model.loss(x, y)
+    base = model.loss(attacked, y) / clean
     out = []
     for s in scales:
         if s == 0.0:
@@ -358,7 +361,7 @@ def robustness_experiment(
         else:
             metric2 = FairMetric(sigma=floor_psd(metric_exact.sigma + s * e))
         attacked2, _ = unfair_map_batch(model, metric2, attack_cfg, x, y)
-        other = model.loss(attacked2, y) / model.loss(x, y)
+        other = model.loss(attacked2, y) / clean
         out.append((s, float(np.max(np.abs(base - other)))))
     return out
 

@@ -196,15 +196,6 @@ class TestTrace:
             steps = np.diff(trace.objective())
             assert np.min(steps) > -1e-9
 
-    def test_jsonl_dump_has_one_record_per_iterate(self):
-        m = LogisticModel(weights=np.array([1.0]), bias=0.0)
-        _, trace = unfair_map(
-            m, FairMetric(sigma=np.eye(1)), AttackConfig(lam=1.0, num_steps=3, eta=0.1), np.array([0.1]), 1.0, record_trace=True
-        )
-        lines = trace.to_jsonl().strip().split("\n")
-        assert len(lines) == 4
-        assert '"step": 0' in lines[0]
-
 
 class TestBatch:
     def test_batch_matches_single_sample_runs(self, sim_dataset):

@@ -196,6 +196,15 @@ class TestAuditCommand:
         assert cli.main(["audit", "--config", cfg]) == 10
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_threads_key_is_unknown(self, tmp_path, sim_csv, metric_file, capsys):
+        # an audit is one serial attack pass; a pool size is not a setting
+        model = unfair_model_file(tmp_path, sim_csv)
+        cfg = audit_config(tmp_path, model, metric_file, sim_csv, threads=2)
+        assert cli.main(["audit", "--config", cfg]) == 10
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and "'threads'" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_required_key_exits_10(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "a.json", {"model": "m.json"})
         assert cli.main(["audit", "--config", cfg]) == 10
@@ -339,7 +348,6 @@ class TestConfigTypes:
             ("error_rate", 0),
             ("standardize", "no"),
             ("num_steps", 2.9),
-            ("threads", True),
             ("num_steps", "5"),
             ("lam", True),
             ("lam", "50"),
@@ -387,9 +395,7 @@ class TestConfigTypes:
 
     def test_integral_float_and_json_booleans_accepted(self, tmp_path, sim_csv, metric_file):
         model = unfair_model_file(tmp_path, sim_csv)
-        cfg = audit_config(
-            tmp_path, model, metric_file, sim_csv, num_steps=5.0, skip_divergent=False, error_rate=True, threads=1
-        )
+        cfg = audit_config(tmp_path, model, metric_file, sim_csv, num_steps=5.0, skip_divergent=False, error_rate=True)
         assert cli.main(["audit", "--config", cfg]) in (0, 3)
 
 

@@ -10,9 +10,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(fairaudit.__file__)))
 
 
 def test_cli_import_skips_modules_only_some_commands_need():
-    # statistics (normal quantiles) brings decimal and fractions; a threaded
-    # audit brings concurrent.futures; CSV ingest buffers rows in an array;
-    # each is imported where it is used
+    # statistics (normal quantiles) brings decimal and fractions and CSV ingest
+    # buffers rows in an array, each imported where it is used; no command
+    # needs concurrent.futures, as audits attack in one serial pass
     code = (
         "import sys, fairaudit.cli; "
         "print(' '.join(m for m in ('decimal', 'fractions', 'concurrent.futures', 'array') if m in sys.modules))"

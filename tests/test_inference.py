@@ -267,27 +267,6 @@ class TestAudit:
         with pytest.raises(TypeError):
             hash(r1)
 
-    def test_threads_do_not_change_the_outcome(self, sim_dataset, unfair_sim_model):
-        metric = rotated_coordinate_metric(0.0)
-        r1 = audit(unfair_sim_model, metric, sim_preset(), sim_dataset.features, sim_dataset.labels, threads=1)
-        r3 = audit(unfair_sim_model, metric, sim_preset(), sim_dataset.features, sim_dataset.labels, threads=3)
-        assert_allclose(r1.ratios, r3.ratios, rtol=1e-12, atol=1e-12)
-        assert r1.t_n == pytest.approx(r3.t_n, rel=1e-12)
-
-    def test_threads_clamped_to_cpu_count(self, monkeypatch, sim_dataset, unfair_sim_model):
-        chunks = []
-
-        def counting_attack(model, metric, cfg, x, y, skip_divergent=False):
-            chunks.append(x.shape[0])
-            return unfair_map_batch(model, metric, cfg, x, y, skip_divergent)
-
-        unfair_map_batch = inference.unfair_map_batch
-        monkeypatch.setattr(inference.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(inference, "unfair_map_batch", counting_attack)
-        metric = rotated_coordinate_metric(0.0)
-        audit(unfair_sim_model, metric, sim_preset(), sim_dataset.features, sim_dataset.labels, threads=3)
-        assert len(chunks) == 2 and sum(chunks) == sim_dataset.n
-
     @pytest.mark.parametrize("alpha, delta", [(0.05, float("nan")), (0.05, 1.0), (0.7, 1.25)])
     def test_levels_checked_before_the_attack(self, monkeypatch, sim_dataset, unfair_sim_model, alpha, delta):
         def no_attack(*args, **kwargs):

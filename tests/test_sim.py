@@ -101,6 +101,27 @@ class TestGridSpec:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             sim.GridSpec.from_range(0.0, 1.0, 0.0)
+
+    def test_range_stops_at_the_last_full_step(self):
+        # a last partial step of half a step or more must not round the count up past hi
+        assert sim.GridSpec.from_range(0.0, 1.0, 0.6) == (0.0, 0.6)
+        assert sim.GridSpec.from_range(0.0, 1.5, 1.0) == (0.0, 1.0)
+        assert sim.GridSpec.from_range(0.0, 2.5, 1.0) == (0.0, 1.0, 2.0)
+
+    def test_range_keeps_hi_under_float_noise(self):
+        # 0.3 / 0.1 == 2.9999999999999996
+        vals = sim.GridSpec.from_range(0.0, 0.3, 0.1)
+        assert len(vals) == 4 and vals[-1] == 0.3
+
+    def test_range_never_passes_hi(self):
+        for lo in (-4.0, -1.0, 0.0, 0.25):
+            for span in (0.0, 0.3, 1.0, 1.7, 2.5, 8.0):
+                for step in (0.1, 0.25, 0.4, 0.6, 1.0, 3.0):
+                    hi = round(lo + span, 9)
+                    vals = sim.GridSpec.from_range(lo, hi, step)
+                    assert vals[0] == lo
+                    assert max(vals) <= hi
+                    assert vals[-1] + step > hi
         with pytest.raises(ValueError):
             sim.GridSpec(w1_values=(), w2_values=(1.0,))
 
@@ -203,6 +224,21 @@ class TestRobustness:
         gaps = [g for _, g in rows]
         assert gaps[0] > gaps[1] > gaps[2] > 0.0
         assert gaps[3] == 0.0
+
+    def test_unattacked_loss_computed_once(self, sim_dataset, true_metric, unfair_sim_model):
+        x, y = sim_dataset.features[:40], sim_dataset.labels[:40]
+        clean_calls = []
+
+        class CountingModel:
+            def __getattr__(self, name):
+                return getattr(unfair_sim_model, name)
+
+            def loss(self, xs, ys):
+                clean_calls.append(np.array_equal(xs, x))
+                return unfair_sim_model.loss(xs, ys)
+
+        sim.robustness_experiment(CountingModel(), true_metric, [1e-2, 1e-4, 0.0], x, y, attack.sim_preset())
+        assert sum(clean_calls) == 1
 
     def test_scales_must_decrease(self, sim_dataset, true_metric, unfair_sim_model):
         with pytest.raises(ValueError, match="decreasing"):
