@@ -15,7 +15,6 @@ from fairaudit.attack import (
     StabilityProbe,
     audit_preset,
     flow_field,
-    loss_ratio,
     sim_preset,
     stability_gap,
     trace_batch,

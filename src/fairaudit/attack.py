@@ -99,6 +99,8 @@ def constant_config_for_horizon(lam: float, horizon: float, eta: float = 0.01) -
     """Constant-step config whose step count best matches the requested horizon."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
+    if not eta > 0:
+        raise ValueError("eta must be positive")
     return AttackConfig(lam=lam, num_steps=int(round(horizon / eta)), schedule="constant", eta=eta)
 
 
@@ -263,18 +265,6 @@ def trace_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y):
         losses[k] = model.loss(xk, y)
         penalties[k] = cfg.lam * metric.distance_sq(xk, x0)
     return iterates, losses, penalties
-
-
-def loss_ratio(model, metric: FairMetric, cfg: AttackConfig, x0, y) -> float:
-    """Loss at the attacked point divided by the loss at the original point.
-
-    With step sizes inside the stability region of the penalized objective
-    the ratio cannot drop below 1 (the flow ascends loss minus penalty, and
-    the penalty is zero at the start), so values meaningfully above 1
-    quantify how much the model's treatment of similar points differs.
-    """
-    phi, _ = unfair_map(model, metric, cfg, x0, y)
-    return float(model.loss(phi, y) / model.loss(x0, y))
 
 
 @dataclass(frozen=True)

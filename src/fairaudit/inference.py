@@ -20,7 +20,8 @@ to the mean vector (A_n, B_n); the second moments are accumulated
 uncentered with a 1/n normalization, which yields the same quadratic form
 as the centered covariance because the mean cross terms cancel exactly.
 
-All statistics are pure folds over per-sample values.
+All statistics are pure folds over per-sample values.  The loss-ratio
+ones fold the last axis, so one call folds a stack of ratio samples.
 """
 
 from __future__ import annotations
@@ -76,39 +77,43 @@ def _margin(spread: float, n: int, tail: float) -> float:
 
 def _check_ratios(ratios) -> np.ndarray:
     r = np.asarray(ratios, dtype=np.float64)
-    if r.ndim != 1 or r.shape[0] < 2:
+    if r.ndim == 0 or r.shape[-1] < 2:
         raise ValueError("need at least two ratio samples")
     if not np.all(np.isfinite(r)) or np.any(r < 0):
         raise ValueError("ratios must be finite and non-negative")
     return r
 
 
-def loss_ratio_stats(ratios) -> tuple[float, float]:
-    """Sample mean S_n and standard deviation V_n (n-1 convention) of the ratios."""
+def loss_ratio_stats(ratios):
+    """Sample mean S_n and standard deviation V_n (n-1 convention) of the ratios.
+
+    1-D ratios give floats; a ``(groups, n)`` stack gives ``(groups,)``
+    arrays whose row i is bitwise the fold of row i alone.
+    """
     r = _check_ratios(ratios)
-    s_n = float(np.mean(r))
-    v_n = float(np.sqrt(np.sum((r - s_n) ** 2) / (r.shape[0] - 1)))
-    return s_n, v_n
+    s_n = np.mean(r, axis=-1)
+    v_n = np.sqrt(np.sum((r - s_n[..., None]) ** 2, axis=-1) / (r.shape[-1] - 1))
+    return (float(s_n), float(v_n)) if r.ndim == 1 else (s_n, v_n)
 
 
-def two_sided_ci(ratios, alpha: float) -> tuple[float, float]:
+def two_sided_ci(ratios, alpha: float):
     """Equal-tailed interval S_n +/- z_{1-alpha/2} V_n / sqrt(n)."""
     check_levels(alpha)
     r = np.asarray(ratios)
     s_n, v_n = loss_ratio_stats(r)
-    half = _margin(v_n, r.shape[0], alpha / 2.0)
+    half = _margin(v_n, r.shape[-1], alpha / 2.0)
     return s_n - half, s_n + half
 
 
-def one_sided_lower_bound(ratios, alpha: float) -> float:
+def one_sided_lower_bound(ratios, alpha: float):
     """Lower end of the one-sided interval: S_n - z_{1-alpha} V_n / sqrt(n)."""
     check_levels(alpha)
     r = np.asarray(ratios)
     s_n, v_n = loss_ratio_stats(r)
-    return s_n - _margin(v_n, r.shape[0], alpha)
+    return s_n - _margin(v_n, r.shape[-1], alpha)
 
 
-def loss_ratio_test(ratios, alpha: float, delta: float) -> tuple[float, bool]:
+def loss_ratio_test(ratios, alpha: float, delta: float):
     """One-sided lower confidence bound T_n and the rejection decision T_n > delta."""
     check_levels(alpha, delta)
     t_n = one_sided_lower_bound(ratios, alpha)

@@ -237,7 +237,7 @@ def sweep_heatmap(
 
     Every (cell, sample) pair is one row of a stacked state that the attack
     advances in blocks of ``SWEEP_ROW_BLOCK`` rows; a cell is divergent if
-    any of its rows diverged.
+    any of its rows diverged.  The other cells are folded as one stack.
     """
     x = np.asarray(features, dtype=np.float64)
     y = _check_labels(labels)
@@ -255,14 +255,13 @@ def sweep_heatmap(
         attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x0, y0, skip_divergent=True)
         ratios[lo : lo + len(cell)] = model.loss(attacked, y0) / model.loss(x0, y0)
         diverged[cell[divergent]] = True
-    cells = []
-    for c, ((w1, w2), b) in enumerate(zip(pairs, biases)):
-        if diverged[c]:
-            cells.append(HeatmapCell(w1, w2, b, float("nan"), False, divergent=True))
-        else:
-            t_n, reject = inference.loss_ratio_test(ratios[c * n : (c + 1) * n], alpha, delta)
-            cells.append(HeatmapCell(w1, w2, b, t_n, reject))
-    return cells
+    t_n = np.full(len(pairs), np.nan)
+    reject = np.zeros(len(pairs), dtype=bool)
+    t_n[~diverged], reject[~diverged] = inference.loss_ratio_test(ratios.reshape(-1, n)[~diverged], alpha, delta)
+    return [
+        HeatmapCell(w1, w2, b, t, r, divergent=d)
+        for (w1, w2), b, t, r, d in zip(pairs, biases, t_n.tolist(), reject.tolist(), diverged.tolist())
+    ]
 
 
 def heatmap_csv(cells) -> str:
@@ -299,9 +298,8 @@ def stopping_time_sweep(
     cfgs = [constant_config_for_horizon(lam, h, eta) for h in hs]
     _, _, kept = unfair_map_batch(model, metric, cfgs[-1], x, y, keep_steps=[c.num_steps for c in cfgs])
     base = model.loss(x, y)
-    return [
-        (c.horizon, inference.one_sided_lower_bound(model.loss(xk, y) / base, alpha)) for c, xk in zip(cfgs, kept)
-    ]
+    t_n = inference.one_sided_lower_bound(np.stack([model.loss(xk, y) / base for xk in kept]), alpha)
+    return [(c.horizon, t) for c, t in zip(cfgs, t_n.tolist())]
 
 
 def stopping_csv(rows) -> str:
@@ -342,7 +340,7 @@ def robustness_experiment(
 
     For each scale s the perturbed metric is the PSD floor of
     sigma_exact + s * E with E a fixed unit-spectral-norm symmetric
-    direction.  Scale 0 reuses the exact metric object, so its gap is
+    direction.  Scale 0 reuses the exact audit's ratios, so its gap is
     exactly zero; positive scales shrink the gap as s decreases.
     """
     scales = [float(s) for s in perturbation_scales]
@@ -356,12 +354,11 @@ def robustness_experiment(
     base = model.loss(attacked, y) / clean
     out = []
     for s in scales:
-        if s == 0.0:
-            metric2 = metric_exact
-        else:
+        other = base
+        if s > 0.0:
             metric2 = FairMetric(sigma=floor_psd(metric_exact.sigma + s * e))
-        attacked2, _ = unfair_map_batch(model, metric2, attack_cfg, x, y)
-        other = model.loss(attacked2, y) / clean
+            attacked2, _ = unfair_map_batch(model, metric2, attack_cfg, x, y)
+            other = model.loss(attacked2, y) / clean
         out.append((s, float(np.max(np.abs(base - other)))))
     return out
 
@@ -456,6 +453,8 @@ def coverage_experiment(
     pop: RatioPopulation, n: int = 500, replicates: int = 1000, alpha: float = 0.05, seed: int = 1
 ) -> tuple[CalibrationResult, float]:
     """Fraction of two-sided intervals covering the oracle mean."""
+    if replicates < 1:
+        raise ValueError(f"coverage replicates must be at least 1, got {replicates!r}")
     ss = np.random.SeedSequence(seed).spawn(2)
     target = oracle_mean(pop, seed=int(ss[0].generate_state(1)[0]))
     rng = np.random.default_rng(ss[1])
@@ -476,6 +475,8 @@ def rejection_rate_experiment(
     name: str = "type1",
 ) -> CalibrationResult:
     """Fraction of replicates on which the one-sided test rejects at ``delta``."""
+    if replicates < 1:
+        raise ValueError(f"{name} replicates must be at least 1, got {replicates!r}")
     rng = np.random.default_rng(seed)
     rejections = 0
     for _ in range(replicates):

@@ -16,13 +16,13 @@ from fairaudit.attack import (
     audit_preset,
     constant_config_for_horizon,
     flow_field,
-    loss_ratio,
     sim_preset,
     stability_gap,
     unfair_map,
     unfair_map_batch,
 )
 from fairaudit.fair_metric import FairMetric, rotated_coordinate_metric
+from fairaudit.inference import audit
 from fairaudit.models import LogisticModel, MlpModel
 from fairaudit.sim import StackedLogistic, fit_bias
 
@@ -93,6 +93,11 @@ class TestAttackConfig:
         cfg = constant_config_for_horizon(2.0, 1.0, eta=0.01)
         assert cfg.num_steps == 100
         assert constant_config_for_horizon(2.0, 0.0).num_steps == 0
+
+    @pytest.mark.parametrize("eta", [0.0, -0.01, float("nan")])
+    def test_horizon_config_rejects_non_positive_eta(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            constant_config_for_horizon(2.0, 1.0, eta=eta)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -224,15 +229,22 @@ class TestBatch:
 
 
 class TestLossRatio:
+    @staticmethod
+    def one_ratio(model, metric, cfg, x0, y):
+        """Attacked over original loss of one point, from a batch of one."""
+        xb, yb = np.asarray(x0, dtype=np.float64)[None, :], np.full(1, y, dtype=np.float64)
+        attacked, _ = unfair_map_batch(model, metric, cfg, xb, yb)
+        return float(model.loss(attacked, yb)[0] / model.loss(xb, yb)[0])
+
     def test_flat_model_gives_exactly_one(self):
         m = LogisticModel(weights=np.zeros(2), bias=0.7)
-        r = loss_ratio(m, FairMetric(sigma=np.eye(2)), audit_preset(), np.array([0.4, 0.1]), 0.0)
+        r = self.one_ratio(m, FairMetric(sigma=np.eye(2)), audit_preset(), [0.4, 0.1], 0.0)
         assert r == 1.0
 
     def test_huge_penalty_pins_the_point(self):
         m = LogisticModel(weights=np.array([2.0]), bias=1.0)
         cfg = AttackConfig(lam=1e9, num_steps=100, schedule="constant", eta=1e-10)
-        r = loss_ratio(m, FairMetric(sigma=np.eye(1)), cfg, np.array([0.5]), 0.0)
+        r = self.one_ratio(m, FairMetric(sigma=np.eye(1)), cfg, [0.5], 0.0)
         assert r == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_independent_euler_reimplementation(self, sim_dataset, unfair_sim_model):
@@ -241,7 +253,9 @@ class TestLossRatio:
         steps = cfg.step_sizes()
         x, y = sim_dataset.features, sim_dataset.labels
         minority = np.flatnonzero(sim_dataset.protected["group"] == 1)[:6]
-        for i in minority:
+        report = audit(unfair_sim_model, metric, cfg, x[minority], y[minority], include_error_rate=False)
+        assert_array_equal(report.index, np.arange(minority.size))
+        for got, i in zip(report.ratios, minority):
             ref_x, ref_ratio = helpers.reference_euler_loss_ratio(
                 list(unfair_sim_model.weights),
                 unfair_sim_model.bias,
@@ -251,7 +265,6 @@ class TestLossRatio:
                 list(x[i]),
                 float(y[i]),
             )
-            got = loss_ratio(unfair_sim_model, metric, cfg, x[i], float(y[i]))
             assert got == pytest.approx(ref_ratio, rel=1e-8)
             assert got > 1.0
 

@@ -302,6 +302,27 @@ class TestStoppingAndRobustness:
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) == 1.0
 
+    @pytest.mark.parametrize("eta", [0.0, -0.01])
+    def test_stopping_sweep_non_positive_eta_exits_10(self, tmp_path, sim_csv, metric_file, capsys, eta):
+        model = unfair_model_file(tmp_path, sim_csv)
+        cfg = write_config(
+            tmp_path,
+            "stop.json",
+            {
+                "model": model,
+                "metric": metric_file,
+                "data": sim_csv,
+                "label_column": "label",
+                "protected_columns": ["group"],
+                "eta": eta,
+                "horizons": [0.5, 2.0],
+                "output": str(tmp_path / "stopping.csv"),
+            },
+        )
+        assert cli.main(["stopping-sweep", "--config", cfg]) == cli.EXIT_ERROR
+        assert "eta must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "stopping.csv").exists()
+
     def test_robustness_ladder(self, tmp_path, sim_csv, metric_file):
         model = unfair_model_file(tmp_path, sim_csv)
         cfg = write_config(
@@ -338,6 +359,17 @@ class TestCalibrateCommand:
         lines = (tmp_path / "cal.csv").read_text().splitlines()
         assert lines[0] == "experiment,n,replicates,rate"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["coverage", "type1", "power"]
+
+
+    @pytest.mark.parametrize("key, name", [("coverage_replicates", "coverage"), ("replicates", "type1")])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_replicate_count_below_one_exits_10(self, tmp_path, capsys, key, name, count):
+        doc = {"n": 50, "coverage_replicates": 5, "replicates": 5, "output": str(tmp_path / "cal.csv")}
+        doc[key] = count
+        cfg = write_config(tmp_path, "cal.json", doc)
+        assert cli.main(["calibrate", "--config", cfg]) == cli.EXIT_ERROR
+        assert f"{name} replicates must be at least 1, got {count}" in capsys.readouterr().err
+        assert not (tmp_path / "cal.csv").exists()
 
 
 class TestConfigTypes:

@@ -84,6 +84,54 @@ class TestLossRatioStats:
             loss_ratio_stats([1.0, -0.1])
 
 
+class TestStackedFold:
+    """A (groups, n) stack folds each row exactly as the row alone."""
+
+    FOLDS = [
+        (loss_ratio_stats, ()),
+        (two_sided_ci, (0.05,)),
+        (one_sided_lower_bound, (0.1,)),
+        (loss_ratio_test, (0.05, 1.25)),
+    ]
+
+    @pytest.mark.parametrize("n", [2, 7, 400])
+    @pytest.mark.parametrize("groups", [0, 1, 81])
+    def test_rows_bitwise_equal_their_1d_fold(self, n, groups):
+        stack = sim.RatioPopulation(mean=1.3, sd=0.2).sample(np.random.default_rng(n + groups), (groups, n))
+        for fold, args in self.FOLDS:
+            got = fold(stack, *args)
+            got = got if isinstance(got, tuple) else (got,)
+            for part in got:
+                assert isinstance(part, np.ndarray) and part.shape == (groups,)
+            for i in range(groups):
+                want = fold(stack[i], *args)
+                want = want if isinstance(want, tuple) else (want,)
+                assert tuple(part[i] for part in got) == want
+
+    def test_1d_input_returns_python_scalars(self):
+        r = [1.0, 1.5, 1.75]
+        assert all(type(v) is float for v in loss_ratio_stats(r))
+        assert all(type(v) is float for v in two_sided_ci(r, 0.05))
+        assert type(one_sided_lower_bound(r, 0.05)) is float
+        t_n, reject = loss_ratio_test(r, 0.05, 1.25)
+        assert type(t_n) is float and type(reject) is bool
+
+    @pytest.mark.parametrize(
+        "stack, match",
+        [
+            (np.ones((3, 1)), "two"),
+            (np.ones((0, 1)), "two"),
+            (np.array([[1.0, 2.0], [1.0, -0.5]]), "non-negative"),
+            (np.array([[1.0, 2.0], [np.inf, 1.0]]), "finite"),
+            (np.array([[1.0, np.nan], [1.0, 2.0]]), "finite"),
+        ],
+    )
+    def test_bad_stack_raises(self, stack, match):
+        for fold, args in self.FOLDS:
+            with pytest.raises(ValueError, match=match):
+                fold(stack, *args)
+
+
 class TestTwoSidedCi:
     def test_degenerate_when_variance_vanishes(self):
         lo, hi = two_sided_ci([2.0, 2.0, 2.0], alpha=0.05)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from fairaudit import attack, sim
+from fairaudit.fair_metric import FairMetric
 from fairaudit.models import LogisticModel, expit, logit
 
 
@@ -240,6 +241,15 @@ class TestRobustness:
         sim.robustness_experiment(CountingModel(), true_metric, [1e-2, 1e-4, 0.0], x, y, attack.sim_preset())
         assert sum(clean_calls) == 1
 
+    def test_attacks_once_per_positive_scale(self, sim_dataset, true_metric, unfair_sim_model, monkeypatch):
+        calls = []
+        attack_fn = sim.unfair_map_batch
+        monkeypatch.setattr(sim, "unfair_map_batch", lambda *a, **k: calls.append(a[1]) or attack_fn(*a, **k))
+        x, y = sim_dataset.features[:40], sim_dataset.labels[:40]
+        rows = sim.robustness_experiment(unfair_sim_model, true_metric, [1e-2, 1e-4, 0.0], x, y, attack.sim_preset())
+        assert len(calls) == 3 and calls[0] is true_metric
+        assert rows[-1] == (0.0, 0.0)
+
     def test_scales_must_decrease(self, sim_dataset, true_metric, unfair_sim_model):
         with pytest.raises(ValueError, match="decreasing"):
             sim.robustness_experiment(
@@ -324,6 +334,14 @@ class TestCalibrationHelpers:
             sim.RatioPopulation(mean=1.45), 1.25, n=500, replicates=100, seed=6, name="power"
         )
         assert strong.rate >= 0.99
+
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_replicate_counts_must_be_positive(self, replicates):
+        pop = sim.RatioPopulation(mean=2.0)
+        with pytest.raises(ValueError, match="coverage replicates must be at least 1"):
+            sim.coverage_experiment(pop, n=20, replicates=replicates)
+        with pytest.raises(ValueError, match="power replicates must be at least 1"):
+            sim.rejection_rate_experiment(pop, 1.25, n=20, replicates=replicates, name="power")
 
     def test_calibration_csv_layout(self):
         rows = [sim.CalibrationResult("coverage", 500, 1000, 0.95)]
@@ -453,3 +471,48 @@ class TestSinglePassStoppingSweep:
             ratios = unfair_sim_model.loss(attacked, y) / unfair_sim_model.loss(x, y)
             want.append((cfg.horizon, inference.one_sided_lower_bound(ratios, 0.05)))
         assert rows == want
+        assert sim.stopping_csv(rows) == sim.stopping_csv(want)
+        assert all(type(t) is float for _, t in rows)
+
+
+class TestStackedRatioFold:
+    """The sweep folds its ratio stack in one call, with the values of a 1-D fold per cell."""
+
+    def test_heatmap_equals_a_per_cell_loop(self, sim_dataset, true_metric):
+        from fairaudit import inference
+
+        x, y = sim_dataset.features, sim_dataset.labels.astype(float)
+        n = x.shape[0]
+        cfg = attack.AttackConfig(lam=100.0, num_steps=200, schedule="constant", eta=0.05)
+        cells = sim.sweep_heatmap(x, y, TestStackedSweep.GRID, true_metric, cfg, alpha=0.1, delta=1.2)
+        assert any(c.divergent for c in cells) and not all(c.divergent for c in cells)
+        for c in cells:
+            model = sim.StackedLogistic(np.tile([c.theta1, c.theta2], (n, 1)), np.full(n, c.fitted_bias))
+            attacked, divergent = attack.unfair_map_batch(model, true_metric, cfg, x, y, skip_divergent=True)
+            assert c.divergent == bool(divergent)
+            if c.divergent:
+                assert math.isnan(c.t_n) and c.reject is False
+            else:
+                ratios = model.loss(attacked, y) / model.loss(x, y)
+                assert (c.t_n, c.reject) == inference.loss_ratio_test(ratios, 0.1, 1.2)
+                assert type(c.t_n) is float and type(c.reject) is bool
+
+    def test_heatmap_folds_once(self, sim_dataset, true_metric, monkeypatch):
+        from fairaudit import inference
+
+        calls = []
+        fold = inference.loss_ratio_test
+        monkeypatch.setattr(inference, "loss_ratio_test", lambda r, *a: calls.append(np.shape(r)) or fold(r, *a))
+        grid = TestStackedSweep.GRID
+        sim.sweep_heatmap(sim_dataset.features, sim_dataset.labels, grid, true_metric, attack.sim_preset())
+        assert calls == [(len(grid.w1_values) * len(grid.w2_values), sim_dataset.n)]
+
+    def test_sweep_where_every_cell_diverges(self, sim_dataset, true_metric):
+        # a full-rank metric with |1 - 2 eta lam| = 9 blows up every cell whose weights are non-zero
+        cfg = attack.AttackConfig(lam=100.0, num_steps=50, schedule="constant", eta=0.05)
+        grid = sim.GridSpec(w1_values=(1.0, 2.0), w2_values=(-1.0, 1.0))
+        metric = FairMetric(sigma=np.eye(2))
+        cells = sim.sweep_heatmap(sim_dataset.features, sim_dataset.labels, grid, metric, cfg)
+        assert len(cells) == 4
+        for c in cells:
+            assert c.divergent is True and c.reject is False and math.isnan(c.t_n)
