@@ -17,7 +17,6 @@ from fairaudit.attack import (
     flow_field,
     sim_preset,
     stability_gap,
-    trace_batch,
     unfair_map,
     unfair_map_batch,
 )

@@ -62,16 +62,18 @@ class AttackConfig:
     decay_p: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
         if self.num_steps < 0:
             raise ValueError("num_steps must be non-negative")
         if self.schedule not in ("constant", "decay"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.schedule == "constant" and self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.schedule == "decay" and (self.decay_c <= 0 or self.decay_p < 0):
-            raise ValueError("decay_c must be positive and decay_p non-negative")
+        if self.schedule == "constant" and not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+        if self.schedule == "decay" and not 0 < self.decay_c < math.inf:
+            raise ValueError(f"decay_c must be positive and finite, got {self.decay_c!r}")
+        if self.schedule == "decay" and not 0 <= self.decay_p < math.inf:
+            raise ValueError(f"decay_p must be non-negative and finite, got {self.decay_p!r}")
 
     def step_sizes(self) -> np.ndarray:
         if self.schedule == "constant":
@@ -106,20 +108,31 @@ def constant_config_for_horizon(lam: float, horizon: float, eta: float = 0.01) -
 
 @dataclass(frozen=True, eq=False)
 class AttackTrace:
-    """Per-step record of one attack: iterates x_0..x_N, losses, and penalties.
+    """Per-step record of an attack: iterates x_0..x_N, losses, and penalties.
 
     ``losses[k]`` is the clamped model loss at iterate k and ``penalties[k]``
     is lam * d^2(x_k, x_0), so ``losses - penalties`` is the penalized
-    objective the flow ascends.
+    objective the flow ascends.  A single attack has iterates ``(N+1, d)``
+    and losses ``(N+1,)``; a batch has ``(N+1, n, d)`` and ``(N+1, n)``.
     """
 
-    iterates: np.ndarray  # (N+1, d)
-    losses: np.ndarray  # (N+1,)
-    penalties: np.ndarray  # (N+1,)
+    iterates: np.ndarray  # (N+1, d) or (N+1, n, d)
+    losses: np.ndarray  # (N+1,) or (N+1, n)
+    penalties: np.ndarray  # (N+1,) or (N+1, n)
     step_sizes: np.ndarray  # (N,)
     horizon: float
 
     __eq__ = fields_equal
+
+    @classmethod
+    def record(cls, model, metric: FairMetric, cfg: AttackConfig, iterates, x0, y) -> AttackTrace:
+        """Batch trace from the states ``unfair_map_batch`` keeps with ``keep_steps=range(N + 1)``."""
+        losses = np.empty(iterates.shape[:2])
+        penalties = np.empty(iterates.shape[:2])
+        for k, xk in enumerate(iterates):
+            losses[k] = model.loss(xk, y)
+            penalties[k] = cfg.lam * metric.distance_sq(xk, x0)
+        return cls(iterates, losses, penalties, cfg.step_sizes(), cfg.horizon)
 
     def objective(self) -> np.ndarray:
         return self.losses - self.penalties
@@ -152,16 +165,9 @@ def unfair_map(model, metric: FairMetric, cfg: AttackConfig, x0, y, record_trace
     if not record_trace:
         x, _ = unfair_map_batch(model, metric, cfg, xb, yb)
         return x[0], None
-    iterates, losses, penalties = trace_batch(model, metric, cfg, xb, yb)
-    steps = cfg.step_sizes()
-    trace = AttackTrace(
-        iterates=iterates[:, 0],
-        losses=losses[:, 0],
-        penalties=penalties[:, 0],
-        step_sizes=steps,
-        horizon=float(np.sum(steps)),
-    )
-    return trace.iterates[-1].copy(), trace
+    x, _, kept = unfair_map_batch(model, metric, cfg, xb, yb, keep_steps=range(cfg.num_steps + 1))
+    t = AttackTrace.record(model, metric, cfg, kept, xb, yb)
+    return x[0], AttackTrace(t.iterates[:, 0], t.losses[:, 0], t.penalties[:, 0], t.step_sizes, t.horizon)
 
 
 def unfair_map_batch(
@@ -245,26 +251,6 @@ def unfair_map_batch(
                 break
     divergent.sort()
     return (x, divergent) if keep_steps is None else (x, divergent, kept)
-
-
-def trace_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y):
-    """Record the attack on every row of an (n, d) batch; any divergence raises.
-
-    Returns ``(iterates, losses, penalties)`` of shapes ``(N+1, n, d)``,
-    ``(N+1, n)`` and ``(N+1, n)``: iterate k is the state after k steps,
-    ``losses[k]`` the clamped model loss there and ``penalties[k]`` is
-    lam * d^2(x_k, x_0).  Each step's values come from one call on the
-    whole batch, so a batch of one gives exactly the single-point values.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _, _, iterates = unfair_map_batch(model, metric, cfg, x0, y, keep_steps=range(cfg.num_steps + 1))
-    losses = np.empty(iterates.shape[:2])
-    penalties = np.empty(iterates.shape[:2])
-    for k, xk in enumerate(iterates):
-        losses[k] = model.loss(xk, y)
-        penalties[k] = cfg.lam * metric.distance_sq(xk, x0)
-    return iterates, losses, penalties
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import inference, sim
 # bench/traced_cli.py patches the ``unfair_map`` binding of this module
-from .attack import AttackConfig, DivergenceError, trace_batch, unfair_map  # noqa: F401
+from .attack import AttackConfig, DivergenceError, unfair_map  # noqa: F401
 from .dataset import atomic_write_text, load_csv, save_csv, split_csv
 from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
 from .inference import NoBaselineErrors
@@ -296,20 +296,18 @@ class _TraceJsonl:
     like the strings ``atomic_write_text`` also takes.
     """
 
-    def __init__(self, index, iterates, losses, penalties):
-        if not all(np.all(np.isfinite(a)) for a in (iterates, losses, penalties)):
+    def __init__(self, index, trace):
+        if not all(np.all(np.isfinite(a)) for a in (trace.iterates, trace.losses, trace.penalties)):
             raise ValueError("audit: trace holds non-finite values")
-        self.index = index
-        self.iterates = iterates
-        self.losses = losses
-        self.penalties = penalties
+        self.index, self.trace = index, trace
 
     def __len__(self) -> int:
         return len(self.index)
 
     def __iter__(self):
+        t = self.trace
         for j, sample in enumerate(self.index.tolist()):
-            rows = zip(self.losses[:, j].tolist(), self.penalties[:, j].tolist(), self.iterates[:, j].tolist())
+            rows = zip(t.losses[:, j].tolist(), t.penalties[:, j].tolist(), t.iterates[:, j].tolist())
             yield "".join(
                 [
                     f'{{"loss": {loss!r}, "penalty": {penalty!r}, "sample": {sample}, "step": {k}, "x": {x!r}}}\n'
@@ -322,24 +320,23 @@ def run_audit(cfg: dict) -> int:
     model = load_model(cfg["model"])
     metric = load_metric(cfg["metric"])
     ds = _load_dataset(cfg)
-    attack_cfg = _build(AttackConfig, cfg)
     report = inference.audit(
         model,
         metric,
-        attack_cfg,
+        _build(AttackConfig, cfg),
         ds.features,
         ds.labels,
         alpha=cfg["alpha"],
         delta=cfg["delta"],
         skip_divergent=cfg["skip_divergent"],
         include_error_rate=cfg["error_rate"],
+        record_trace=cfg["trace_output"] is not None,
     )
     atomic_write_text(cfg["report_output"], report.to_json(extra={"config": cfg}))
     if cfg["samples_output"] is not None:
         atomic_write_text(cfg["samples_output"], report.samples_csv())
-    if cfg["trace_output"] is not None:
-        traced = trace_batch(model, metric, attack_cfg, ds.features[report.index], ds.labels[report.index])
-        atomic_write_text(cfg["trace_output"], _TraceJsonl(report.index, *traced))
+    if report.trace is not None:
+        atomic_write_text(cfg["trace_output"], _TraceJsonl(report.index, report.trace))
     verdict = "reject" if report.reject else "fail to reject"
     print(f"audit: n={report.n} s_n={report.s_n:.6g} t_n={report.t_n:.6g} delta={report.delta} -> {verdict}")
     return EXIT_REJECT if report.reject else EXIT_OK

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attack import AttackConfig, unfair_map_batch
+from .attack import AttackConfig, AttackTrace, unfair_map_batch
 from .fair_metric import FairMetric
 from .linalg import fields_equal
 
@@ -189,9 +189,9 @@ class ErrorRateReport:
 class AuditReport:
     """Everything an audit produces, plus the per-sample values behind it.
 
-    ``index`` holds the original positions of the audited samples (samples
-    dropped for divergence are listed in ``divergent`` instead).  The
-    serialized form keeps only the aggregate statistics.
+    ``index`` holds the original positions of the audited samples (dropped
+    divergent samples are listed in ``divergent``), ``trace`` their recorded
+    attack if any.  The serialized form keeps only the aggregate statistics.
     """
 
     n: int
@@ -211,6 +211,7 @@ class AuditReport:
     ratios: np.ndarray
     pre01: np.ndarray
     post01: np.ndarray
+    trace: AttackTrace | None = None
 
     __eq__ = fields_equal
 
@@ -261,6 +262,7 @@ def audit(
     delta: float = 1.25,
     skip_divergent: bool = False,
     include_error_rate: bool = True,
+    record_trace: bool = False,
 ) -> AuditReport:
     """Attack every sample and assemble the full audit report.
 
@@ -270,13 +272,18 @@ def audit(
     ``skip_divergent`` is set, in which case they are excluded and listed
     in the report.  The caller is responsible for auditing on data the
     model was not trained on; the report carries that obligation as a note.
+    ``record_trace`` keeps every step of this same attack on the audited
+    samples as the report's ``trace``.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("features must be (n, d) with matching 1-D labels")
     check_levels(alpha, delta)
-    attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x, y, skip_divergent=skip_divergent)
+    keep_steps = range(attack_cfg.num_steps + 1) if record_trace else None
+    attacked, divergent, *kept = unfair_map_batch(
+        model, metric, attack_cfg, x, y, skip_divergent=skip_divergent, keep_steps=keep_steps
+    )
 
     keep = np.ones(x.shape[0], dtype=bool)
     keep[list(divergent)] = False
@@ -302,6 +309,11 @@ def audit(
             a_n=stats.a_n, b_n=stats.b_n, s_tilde=stats.s_tilde, t_tilde=t_tilde, reject=t_tilde > delta
         )
 
+    trace = None
+    if record_trace:
+        states = kept[0] if idx.size == x.shape[0] else kept[0][:, idx]  # a copy only to drop rows
+        trace = AttackTrace.record(model, metric, attack_cfg, states, x[idx], y[idx])
+
     return AuditReport(
         n=int(idx.size),
         s_n=s_n,
@@ -320,4 +332,5 @@ def audit(
         ratios=np.asarray(ratios),
         pre01=pre01,
         post01=post01,
+        trace=trace,
     )

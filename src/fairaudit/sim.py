@@ -291,7 +291,9 @@ def stopping_time_sweep(
     pass to the longest horizon keeps the iterate at each step count.
     """
     hs = [float(h) for h in horizons]
-    if not hs or any(h < 0 for h in hs) or any(b < a for a, b in zip(hs, hs[1:])):
+    if not hs:
+        raise ValueError("horizons must be non-empty")
+    if any(h < 0 for h in hs) or any(b < a for a, b in zip(hs, hs[1:])):
         raise ValueError("horizons must be non-negative and non-decreasing")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -344,6 +346,8 @@ def robustness_experiment(
     exactly zero; positive scales shrink the gap as s decreases.
     """
     scales = [float(s) for s in perturbation_scales]
+    if not scales:
+        raise ValueError("perturbation_scales must be non-empty")
     if any(s < 0 for s in scales) or any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValueError("perturbation_scales must be non-negative and strictly decreasing")
     x = np.asarray(features, dtype=np.float64)

@@ -109,6 +109,26 @@ class TestAttackConfig:
         with pytest.raises(ValueError):
             AttackConfig(lam=1.0, num_steps=1, eta=0.0)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("lam", {"lam": math.nan}),
+            ("lam", {"lam": math.inf}),
+            ("eta", {"eta": math.nan}),
+            ("eta", {"eta": math.inf}),
+            ("decay_c", {"schedule": "decay", "decay_c": math.nan}),
+            ("decay_c", {"schedule": "decay", "decay_c": math.inf}),
+            ("decay_p", {"schedule": "decay", "decay_p": math.nan}),
+            ("decay_p", {"schedule": "decay", "decay_p": math.inf}),
+            ("decay_p", {"schedule": "decay", "decay_p": -0.5}),
+        ],
+    )
+    def test_non_finite_values_rejected_by_name(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            AttackConfig(**{"lam": 1.0, "num_steps": 1, **kwargs})
+        # a zero decay exponent is a constant step and stays valid
+        assert AttackConfig(lam=1.0, num_steps=2, schedule="decay", decay_p=0.0).step_sizes().tolist() == [0.02, 0.02]
+
 
 class TestFlowField:
     def test_stationary_at_start_for_flat_model(self):

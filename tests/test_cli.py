@@ -347,6 +347,32 @@ class TestStoppingAndRobustness:
         gaps = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert gaps[0] > gaps[1] > gaps[2] == 0.0
 
+    @pytest.mark.parametrize(
+        "command, key, message",
+        [
+            ("stopping-sweep", "horizons", "horizons must be non-empty"),
+            ("robustness", "scales", "perturbation_scales must be non-empty"),
+        ],
+    )
+    def test_empty_list_exits_10(self, tmp_path, sim_csv, metric_file, capsys, command, key, message):
+        model = unfair_model_file(tmp_path, sim_csv)
+        cfg = write_config(
+            tmp_path,
+            "empty.json",
+            {
+                "model": model,
+                "metric": metric_file,
+                "data": sim_csv,
+                "label_column": "label",
+                "protected_columns": ["group"],
+                key: [],
+                "output": str(tmp_path / "out.csv"),
+            },
+        )
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestCalibrateCommand:
     def test_summary_rows(self, tmp_path):
@@ -432,6 +458,21 @@ class TestConfigTypes:
 
 
 class TestBatchedTrace:
+    def test_traced_audit_attacks_once(self, tmp_path, sim_csv, metric_file, monkeypatch):
+        from fairaudit import attack, inference
+
+        calls = []
+        for module in (inference, attack):
+            wrapped = module.unfair_map_batch
+            monkeypatch.setattr(
+                module, "unfair_map_batch", lambda *a, _fn=wrapped, **k: calls.append(a[3].shape) or _fn(*a, **k)
+            )
+        model_path = unfair_model_file(tmp_path, sim_csv)
+        cfg = audit_config(tmp_path, model_path, metric_file, sim_csv, num_steps=20, trace_output=str(tmp_path / "t.jsonl"))
+        assert cli.main(["audit", "--config", cfg]) in (0, 3)
+        assert calls == [(200, 2)]
+        assert len((tmp_path / "t.jsonl").read_text().splitlines()) == 200 * 21
+
     def test_matches_per_sample_traces_and_samples_csv(self, tmp_path, sim_csv, metric_file):
         from fairaudit.attack import sim_preset, unfair_map, unfair_map_batch
         from fairaudit.dataset import load_csv

@@ -2,13 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtri
 
 import helpers
 from fairaudit import inference, sim
-from fairaudit.attack import audit_preset, sim_preset
-from fairaudit.fair_metric import rotated_coordinate_metric
+from fairaudit.attack import AttackConfig, audit_preset, sim_preset
+from fairaudit.fair_metric import FairMetric, rotated_coordinate_metric
 from fairaudit.inference import (
     NoBaselineErrors,
     audit,
@@ -22,6 +22,7 @@ from fairaudit.inference import (
     two_sided_ci,
 )
 from fairaudit.models import LogisticModel
+from test_attack import SplitFieldStub
 
 
 class TestNormalQuantile:
@@ -336,6 +337,57 @@ class TestAudit:
         )
         assert report.error_rate is None
         assert report.s_n == 1.0
+
+    def test_traced_report_equality_and_serialized_form(self, sim_dataset, unfair_sim_model):
+        metric = rotated_coordinate_metric(0.0)
+        cfg = dataclasses.replace(sim_preset(), num_steps=40)
+        x, y = sim_dataset.features[:60], sim_dataset.labels[:60]
+        plain = audit(unfair_sim_model, metric, cfg, x, y)
+        r1 = audit(unfair_sim_model, metric, cfg, x, y, record_trace=True)
+        r2 = audit(unfair_sim_model, metric, cfg, x, y, record_trace=True)
+        assert plain.trace is None
+        assert r1.trace.iterates.shape == (41, 60, 2) and r1.trace.losses.shape == (41, 60)
+        assert r1 == r2
+        assert r1 != plain and plain != r1
+        assert r1 == dataclasses.replace(plain, trace=r2.trace)
+        bumped = dataclasses.replace(r2.trace, losses=r2.trace.losses * 2.0)
+        assert r1 != dataclasses.replace(r2, trace=bumped)
+        assert r1.to_json() == plain.to_json()
+        assert r1.to_json(extra={"config": {"k": 1}}) == plain.to_json(extra={"config": {"k": 1}})
+        assert r1.samples_csv() == plain.samples_csv()
+        with pytest.raises(TypeError):
+            hash(r1)
+
+    def test_trace_is_the_audits_own_attack_on_surviving_rows(self, monkeypatch):
+        """Rows dropped for divergence leave the trace; the rest are the audit's own states, bitwise."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(12, 3))
+        x[:5, 0] = np.abs(x[:5, 0])  # these rows start right of the origin and blow up
+        x[5:, 0] = -np.abs(x[5:, 0])
+        y = np.zeros(12)
+        class Stub(SplitFieldStub):
+            def predict_proba(self, xs):  # the audit thresholds predictions even without the error-rates test
+                return np.full(len(xs), 0.5)
+
+        stub = Stub(k=100.0)
+        cfg = AttackConfig(lam=0.01, num_steps=400, schedule="constant", eta=0.05)
+        results = []
+        attack_fn = inference.unfair_map_batch
+        monkeypatch.setattr(inference, "unfair_map_batch", lambda *a, **k: results.append(attack_fn(*a, **k)) or results[-1])
+        report = audit(
+            stub, FairMetric(sigma=np.eye(3)), cfg, x, y, skip_divergent=True, include_error_rate=False, record_trace=True
+        )
+        assert len(results) == 1
+        attacked, divergent = results[0][:2]
+        assert divergent == [0, 1, 2, 3, 4]
+        assert report.index.tolist() == list(range(5, 12))
+        trace = report.trace
+        assert trace.iterates.shape == (401, 7, 3)
+        assert_array_equal(trace.iterates[0], x[report.index])
+        assert_array_equal(trace.iterates[-1], attacked[report.index])
+        assert_array_equal(trace.losses[-1] / trace.losses[0], report.ratios)
+        assert_array_equal(trace.penalties[0], np.zeros(7))
+        assert_array_equal(trace.step_sizes, cfg.step_sizes())
 
     def test_samples_csv_layout(self, sim_dataset):
         report = self.constant_model_report(sim_dataset)

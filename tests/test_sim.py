@@ -211,6 +211,17 @@ class TestStoppingTimeSweep:
                 unfair_sim_model, true_metric, sim_dataset.features, sim_dataset.labels, [1.0, 0.5]
             )
 
+    @pytest.mark.parametrize(
+        "horizons, message",
+        [
+            ([], "horizons must be non-empty"),
+            ([-1.0, 0.5], "horizons must be non-negative and non-decreasing"),
+        ],
+    )
+    def test_bad_horizons_named_by_cause(self, sim_dataset, true_metric, unfair_sim_model, horizons, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sim.stopping_time_sweep(unfair_sim_model, true_metric, sim_dataset.features, sim_dataset.labels, horizons)
+
 
 class TestRobustness:
     def test_ladder_vanishes_with_the_perturbation(self, sim_dataset, true_metric, unfair_sim_model):
@@ -249,6 +260,15 @@ class TestRobustness:
         rows = sim.robustness_experiment(unfair_sim_model, true_metric, [1e-2, 1e-4, 0.0], x, y, attack.sim_preset())
         assert len(calls) == 3 and calls[0] is true_metric
         assert rows[-1] == (0.0, 0.0)
+
+    def test_empty_ladder_rejected_before_any_attack(self, sim_dataset, true_metric, unfair_sim_model, monkeypatch):
+        def no_attack(*args, **kwargs):
+            raise AssertionError("attacked an empty ladder")
+
+        monkeypatch.setattr(sim, "unfair_map_batch", no_attack)
+        x, y = sim_dataset.features[:40], sim_dataset.labels[:40]
+        with pytest.raises(ValueError, match="^perturbation_scales must be non-empty$"):
+            sim.robustness_experiment(unfair_sim_model, true_metric, [], x, y, attack.sim_preset())
 
     def test_scales_must_decrease(self, sim_dataset, true_metric, unfair_sim_model):
         with pytest.raises(ValueError, match="decreasing"):
