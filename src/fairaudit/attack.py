@@ -139,7 +139,7 @@ class AttackTrace:
 
 
 def flow_field(model, metric: FairMetric, lam: float, x, x0, y, out=None):
-    """Penalized ascent field g(x); accepts single points or (n, d) batches.
+    """Penalized ascent field g(x) on an (n, d) batch.
 
     ``out``, if given, is an array of the field's shape that receives g(x)
     and is returned.  The array the model's gradient returns is only read.

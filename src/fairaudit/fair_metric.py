@@ -49,18 +49,14 @@ class FairMetric:
     def _deltas(self, x1, x2):
         a = np.asarray(x1, dtype=np.float64)
         b = np.asarray(x2, dtype=np.float64)
-        single = a.ndim == 1 and b.ndim == 1
-        a = np.atleast_2d(a)
-        b = np.atleast_2d(b)
-        if a.shape[1] != self.dim or b.shape[1] != self.dim:
-            raise ValueError(f"points must have dimension {self.dim}")
-        return a - b, single
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != self.dim or b.shape[1] != self.dim:
+            raise ValueError(f"points must be (n, {self.dim}) batches of dimension {self.dim}, got {a.shape} and {b.shape}")
+        return a - b
 
     def distance_sq(self, x1, x2):
         """Squared fair distance; symmetric in its arguments and zero on the diagonal."""
-        d, single = self._deltas(x1, x2)
-        out = np.einsum("ij,jk,ik->i", d, self.sigma, d)
-        return float(out[0]) if single else out
+        d = self._deltas(x1, x2)
+        return np.einsum("ij,jk,ik->i", d, self.sigma, d)
 
     def distance_sq_gradient(self, x, x0, out=None):
         """Gradient of ``distance_sq(x, x0)`` in its first argument: 2 Sigma (x - x0).
@@ -68,13 +64,9 @@ class FairMetric:
         ``out``, if given, is an array of the result's shape that receives
         the gradient and is returned; the values are the same either way.
         """
-        d, single = self._deltas(x, x0)
+        d = self._deltas(x, x0)
         d *= 2.0
-        if out is None:
-            out = d @ self.sigma
-            return out[0] if single else out
-        np.matmul(d, self.sigma, out=out[None, :] if single else out)
-        return out
+        return np.matmul(d, self.sigma, out=out)
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "sigma": self.sigma.tolist()}

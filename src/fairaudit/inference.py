@@ -44,11 +44,6 @@ class NoBaselineErrors(RuntimeError):
     """The model classifies every original sample correctly; the error-rates ratio is undefined."""
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF, accurate in both tails via erfc."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF z_p, i.e. Phi(z_p) = p."""
     # imported here: statistics loads decimal and fractions, which only this needs

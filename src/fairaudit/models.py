@@ -6,8 +6,8 @@ attack module integrates the gradient field of the loss, and the stability
 and robustness guarantees it relies on require that field to be Lipschitz,
 which rules out ReLU-style kinks.
 
-Every model exposes three evaluation methods, each accepting a single
-sample ``x`` of shape ``(d,)`` or a batch of shape ``(n, d)``:
+Every model exposes three evaluation methods, each accepting a batch of
+shape ``(n, d)``:
 
 - ``predict_proba(x)``: class-1 probability,
 - ``loss(x, y)``: clamped cross-entropy,
@@ -88,22 +88,22 @@ _ACTIVATIONS = {
 }
 
 
-def _check_labels(y) -> np.ndarray:
+def _check_labels(y, n: int | None = None) -> np.ndarray:
+    """Labels as floats; with ``n``, only a scalar or an ``(n,)`` array is accepted."""
     arr = np.asarray(y, dtype=np.float64)
+    if n is not None and arr.ndim != 0 and arr.shape != (n,):
+        raise ValueError(f"labels must be a scalar or of shape ({n},) for {n} rows, got shape {arr.shape}")
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValueError("labels must be 0 or 1")
     return arr
 
 
-def _as_batch(x, dim: int):
-    """Return (X as (n, d), was_single_sample)."""
+def _as_batch(x, dim: int) -> np.ndarray:
+    """Return x as an (n, dim) float array; any other shape, 1-D points included, raises."""
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"expected input of dimension {dim}, got shape {np.shape(x)}")
-    return arr, single
+        raise ValueError(f"expected an (n, {dim}) batch of inputs of dimension {dim}, got shape {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,27 +131,21 @@ class LogisticModel:
         return self.weights.shape[0]
 
     def _logits(self, x):
-        xb, single = _as_batch(x, self.dim)
+        xb = _as_batch(x, self.dim)
         if self.projector is not None:
             xb = xb @ self.projector
-        z = xb @ self.weights + self.bias
-        return z, single
+        return xb @ self.weights + self.bias
 
     def predict_proba(self, x):
-        z, single = self._logits(x)
-        p = expit(z)
-        return float(p[0]) if single else p
+        return expit(self._logits(x))
 
     def loss(self, x, y):
-        z, single = self._logits(x)
-        out = loss_from_logit(z, _check_labels(y))
-        return float(out[0]) if single else out
+        z = self._logits(x)
+        return loss_from_logit(z, _check_labels(y, len(z)))
 
     def input_gradient(self, x, y):
-        z, single = self._logits(x)
-        p = expit(z)
-        grad = (p - _check_labels(y))[:, None] * self._logit_gradient[None, :]
-        return grad[0] if single else grad
+        z = self._logits(x)
+        return (expit(z) - _check_labels(y, len(z)))[:, None] * self._logit_gradient[None, :]
 
     def to_dict(self) -> dict:
         return {
@@ -192,7 +186,7 @@ class MlpModel:
         return self.layer1_weights.shape[1]
 
     def _forward(self, x):
-        xb, single = _as_batch(x, self.dim)
+        xb = _as_batch(x, self.dim)
         if self.projector is not None:
             xb = xb @ self.projector
         act, _ = _ACTIVATIONS[self.activation]
@@ -200,20 +194,17 @@ class MlpModel:
         z1 += self.layer1_bias
         a = act(z1)
         z = a @ self.layer2_weights + self.layer2_bias
-        return z, z1, a, single
+        return z, z1, a
 
     def predict_proba(self, x):
-        z, _, _, single = self._forward(x)
-        p = expit(z)
-        return float(p[0]) if single else p
+        return expit(self._forward(x)[0])
 
     def loss(self, x, y):
-        z, _, _, single = self._forward(x)
-        out = loss_from_logit(z, _check_labels(y))
-        return float(out[0]) if single else out
+        z = self._forward(x)[0]
+        return loss_from_logit(z, _check_labels(y, len(z)))
 
     def input_gradient(self, x, y):
-        z, z1, a, single = self._forward(x)
+        z, z1, a = self._forward(x)
         _, slope = _ACTIVATIONS[self.activation]
         p = expit(z)
         # d logit / d x' = (act'(z1) * w2) @ W1, then chain through the projector
@@ -225,8 +216,8 @@ class MlpModel:
         grad = hidden @ self.layer1_weights
         if self.projector is not None:
             grad = grad @ self.projector
-        grad *= (p - _check_labels(y))[:, None]
-        return grad[0] if single else grad
+        grad *= (p - _check_labels(y, len(z)))[:, None]
+        return grad
 
     def to_dict(self) -> dict:
         return {

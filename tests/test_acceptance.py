@@ -206,12 +206,10 @@ def test_criterion_08_robustness_ladder_and_bound(sim_dataset, unfair_sim_model)
             self.offset = offset
 
         def loss(self, x, y):
-            v = np.asarray(x, dtype=np.float64) @ self.a + self.offset
-            return float(v) if np.ndim(v) == 0 else v
+            return np.asarray(x, dtype=np.float64) @ self.a + self.offset
 
         def input_gradient(self, x, y):
-            x = np.asarray(x, dtype=np.float64)
-            return self.a.copy() if x.ndim == 1 else np.tile(self.a, (x.shape[0], 1))
+            return np.tile(self.a, (len(x), 1))
 
     a = np.array([0.8, -0.5])
     lam, horizon = 0.5, 1.0
@@ -266,7 +264,7 @@ def test_criterion_09_learned_metric_projector_contract():
     rel = []
     for name in ("p", "q"):
         w = train(x, protected[name], "logistic", cfg).weights  # deterministic refit recovers the direction
-        rel.append(metric.distance_sq(probe, probe + w) / float(w @ w))
+        rel.append(metric.distance_sq(probe[None, :], (probe + w)[None, :])[0] / float(w @ w))
         assert rel[-1] <= 1e-8
     report(f"9 PASS: ||P^2-P||max {np.max(np.abs(p @ p - p)):.2e} < 1e-10; relative span distances {[f'{r:.2e}' for r in rel]}")
 
@@ -289,12 +287,12 @@ def test_criterion_10_gradient_fidelity():
         for _ in range(20):
             xx = rng.uniform(-1.5, 1.5, 3)
             yy = float(rng.integers(0, 2))
-            g = model.input_gradient(xx, yy)
+            g = model.input_gradient(xx[None, :], yy)[0]
             fd = np.empty(3)
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = 1e-5
-                fd[j] = (model.loss(xx + e, yy) - model.loss(xx - e, yy)) / 2e-5
+                fd[j] = (model.loss((xx + e)[None, :], yy)[0] - model.loss((xx - e)[None, :], yy)[0]) / 2e-5
             errs.append(np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12))
         worst[name] = max(errs)
         assert worst[name] < 1e-5

@@ -38,14 +38,10 @@ class LinearLossStub:
         raise NotImplementedError
 
     def loss(self, x, y):
-        v = np.asarray(x, dtype=np.float64) @ self.a + self.offset
-        return float(v) if np.ndim(v) == 0 else v
+        return np.asarray(x, dtype=np.float64) @ self.a + self.offset
 
     def input_gradient(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return self.a.copy()
-        return np.tile(self.a, (x.shape[0], 1))
+        return np.tile(self.a, (len(x), 1))
 
 
 class SplitFieldStub:
@@ -61,15 +57,11 @@ class SplitFieldStub:
         raise NotImplementedError
 
     def loss(self, x, y):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.sum(x**2, axis=1)
+        return np.sum(np.asarray(x, dtype=np.float64) ** 2, axis=1)
 
     def input_gradient(self, x, y):
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
-        grad = np.where(x[:, :1] > 0, self.k * x, -x)
-        return grad[0] if single else grad
+        return np.where(x[:, :1] > 0, self.k * x, -x)
 
 
 class TestAttackConfig:
@@ -134,19 +126,19 @@ class TestFlowField:
     def test_stationary_at_start_for_flat_model(self):
         m = LogisticModel(weights=np.zeros(2), bias=1.0)
         x0 = np.array([0.3, -0.7])
-        g = flow_field(m, FairMetric(sigma=np.eye(2)), 2.0, x0, x0, 1.0)
+        g = flow_field(m, FairMetric(sigma=np.eye(2)), 2.0, x0[None, :], x0[None, :], 1.0)[0]
         assert_array_equal(g, np.zeros(2))
 
     def test_zero_penalty_weight_recovers_loss_gradient(self):
         rng = np.random.default_rng(0)
         m = LogisticModel(weights=rng.normal(size=3), bias=0.1)
         x, x0 = rng.normal(size=3), rng.normal(size=3)
-        g = flow_field(m, FairMetric(sigma=np.eye(3)), 0.0, x, x0, 1.0)
-        assert_array_equal(g, m.input_gradient(x, 1.0))
+        g = flow_field(m, FairMetric(sigma=np.eye(3)), 0.0, x[None, :], x0[None, :], 1.0)[0]
+        assert_array_equal(g, m.input_gradient(x[None, :], 1.0)[0])
 
     def test_combines_both_gradients(self):
         m = LogisticModel(weights=np.array([2.0]), bias=1.0)
-        g = flow_field(m, FairMetric(sigma=np.eye(1)), 0.5, np.array([0.5]), np.array([0.0]), 0.0)
+        g = flow_field(m, FairMetric(sigma=np.eye(1)), 0.5, np.array([[0.5]]), np.array([[0.0]]), 0.0)[0]
         assert g[0] == pytest.approx(1.7615942 - 2.0 * 0.5 * 0.5, abs=1e-6)
 
 
@@ -164,7 +156,7 @@ class TestUnfairMap:
         x0 = rng.normal(size=2)
         cfg = AttackConfig(lam=0.7, num_steps=1, eta=0.1)
         out, _ = unfair_map(m, metric, cfg, x0, 0.0)
-        assert_array_equal(out, x0 + 0.1 * flow_field(m, metric, 0.7, x0, x0, 0.0))
+        assert_array_equal(out, x0 + 0.1 * flow_field(m, metric, 0.7, x0[None, :], x0[None, :], 0.0)[0])
 
     def test_linear_loss_flow_matches_closed_form(self):
         # field a - 2 lam (x - x0) has solution x0 + a/(2 lam) (1 - exp(-2 lam t))
@@ -207,8 +199,8 @@ class TestTrace:
         assert trace.iterates.shape == (26, 2)
         assert_array_equal(trace.iterates[-1], out)
         for k in (0, 7, 25):
-            assert trace.losses[k] == m.loss(trace.iterates[k], 1.0)
-            assert trace.penalties[k] == 2.0 * metric.distance_sq(trace.iterates[k], x0)
+            assert trace.losses[k] == m.loss(trace.iterates[k][None, :], 1.0)[0]
+            assert trace.penalties[k] == 2.0 * metric.distance_sq(trace.iterates[k][None, :], x0[None, :])[0]
         assert trace.horizon == pytest.approx(0.25)
 
     def test_penalized_objective_monotone_for_stable_steps(self, sim_dataset):
@@ -571,17 +563,7 @@ class TestOutBuffers:
         assert got is buf
         assert_array_equal(buf, self.METRIC.distance_sq_gradient(x, x0))
 
-    def test_distance_gradient_out_single_point(self):
-        x, x0 = self._points()
-        buf = np.full(3, np.nan)
-        got = self.METRIC.distance_sq_gradient(x[0], x0[0], out=buf)
-        assert got is buf
-        plain = self.METRIC.distance_sq_gradient(x[0], x0[0])
-        assert plain.shape == (3,)
-        assert_array_equal(buf, plain)
-        assert_array_equal(plain, self.METRIC.distance_sq_gradient(x[:1], x0[:1])[0])
-
-    def test_flow_field_out_batch_and_single_point(self):
+    def test_flow_field_out_batch(self):
         rng = np.random.default_rng(11)
         x, x0 = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
         y = (np.arange(7) % 2).astype(float)
@@ -591,13 +573,6 @@ class TestOutBuffers:
         got = flow_field(model, metric, 1.7, x, x0, y, out=buf)
         assert got is buf
         assert_array_equal(buf, flow_field(model, metric, 1.7, x, x0, y))
-        # a single point is computed as a batch of one
-        single = flow_field(model, metric, 1.7, x[2], x0[2], y[2])
-        assert single.shape == (5,)
-        assert_array_equal(single, flow_field(model, metric, 1.7, x[2:3], x0[2:3], y[2:3])[0])
-        buf1 = np.full(5, np.nan)
-        assert flow_field(model, metric, 1.7, x[2], x0[2], y[2], out=buf1) is buf1
-        assert_array_equal(buf1, single)
 
     def test_flow_field_is_the_two_gradients_combined(self):
         x, x0 = self._points()
@@ -616,7 +591,7 @@ class RowGradientStub:
         self.calls = 0
 
     def loss(self, x, y):
-        return np.ones(np.atleast_2d(x).shape[0])
+        return np.ones(len(x))
 
     def input_gradient(self, x, y):
         self.calls += 1

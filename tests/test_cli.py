@@ -155,7 +155,7 @@ class TestTrainCommand:
         model = load_model(str(model_out))
         assert model.projector is not None
         # the projector zeroes coordinate 1, so predictions ignore it
-        assert model.predict_proba(np.array([5.0, 0.2])) == model.predict_proba(np.array([-5.0, 0.2]))
+        assert model.predict_proba(np.array([[5.0, 0.2]]))[0] == model.predict_proba(np.array([[-5.0, 0.2]]))[0]
 
 
 class TestAuditCommand:

@@ -30,36 +30,36 @@ class TestDistance:
     def test_zero_on_equal_points(self):
         m = FairMetric(sigma=random_psd(np.random.default_rng(0), 3))
         x = np.array([1.0, -2.0, 0.5])
-        assert m.distance_sq(x, x) == 0.0
+        assert m.distance_sq(x[None, :], x[None, :])[0] == 0.0
 
     def test_sensitive_direction_is_free(self):
         m = drop_first_coordinate_metric()
-        assert m.distance_sq(np.array([1.0, 0.0]), np.zeros(2)) == 0.0
+        assert m.distance_sq(np.array([[1.0, 0.0]]), np.zeros((1, 2)))[0] == 0.0
 
     def test_only_charged_coordinate_counts(self):
         m = drop_first_coordinate_metric()
-        assert m.distance_sq(np.array([3.0, 4.0]), np.zeros(2)) == pytest.approx(16.0, abs=1e-14)
+        assert m.distance_sq(np.array([[3.0, 4.0]]), np.zeros((1, 2)))[0] == pytest.approx(16.0, abs=1e-14)
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(1)
         m = FairMetric(sigma=random_psd(rng, 4))
-        x1, x2 = rng.normal(size=4), rng.normal(size=4)
-        assert m.distance_sq(x1, x2) == pytest.approx(m.distance_sq(x2, x1), rel=1e-14)
+        x1, x2 = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+        assert m.distance_sq(x1, x2)[0] == pytest.approx(m.distance_sq(x2, x1)[0], rel=1e-14)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(2)
         m = FairMetric(sigma=random_psd(rng, 5))
         for _ in range(100):
-            assert m.distance_sq(rng.normal(size=5), rng.normal(size=5)) >= -1e-12
+            assert m.distance_sq(rng.normal(size=(1, 5)), rng.normal(size=(1, 5)))[0] >= -1e-12
 
     def test_triangle_inequality_for_square_root(self):
         rng = np.random.default_rng(3)
         m = FairMetric(sigma=random_psd(rng, 4))
         for _ in range(200):
-            x, y, z = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
-            dxz = math.sqrt(m.distance_sq(x, z))
-            dxy = math.sqrt(m.distance_sq(x, y))
-            dyz = math.sqrt(m.distance_sq(y, z))
+            x, y, z = rng.normal(size=(1, 4)), rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+            dxz = math.sqrt(m.distance_sq(x, z)[0])
+            dxy = math.sqrt(m.distance_sq(x, y)[0])
+            dyz = math.sqrt(m.distance_sq(y, z)[0])
             assert dxz <= dxy + dyz + 1e-9
 
     def test_dimension_mismatch(self):
@@ -75,23 +75,23 @@ class TestDistanceGradient:
     def test_zero_at_center(self):
         m = FairMetric(sigma=random_psd(np.random.default_rng(4), 3))
         x = np.array([0.5, 1.0, -1.0])
-        assert_array_equal(m.distance_sq_gradient(x, x), np.zeros(3))
+        assert_array_equal(m.distance_sq_gradient(x[None, :], x[None, :])[0], np.zeros(3))
 
     def test_identity_metric_value(self):
         m = FairMetric(sigma=np.eye(2))
-        g = m.distance_sq_gradient(np.array([1.0, 2.0]), np.zeros(2))
+        g = m.distance_sq_gradient(np.array([[1.0, 2.0]]), np.zeros((1, 2)))[0]
         assert_allclose(g, [2.0, 4.0])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         m = FairMetric(sigma=random_psd(rng, 4))
-        x, x0 = rng.normal(size=4), rng.normal(size=4)
-        g = m.distance_sq_gradient(x, x0)
+        x, x0 = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+        g = m.distance_sq_gradient(x, x0)[0]
         h = 1e-6
         for j in range(4):
-            e = np.zeros(4)
-            e[j] = h
-            fd = (m.distance_sq(x + e, x0) - m.distance_sq(x - e, x0)) / (2.0 * h)
+            e = np.zeros((1, 4))
+            e[0, j] = h
+            fd = (m.distance_sq(x + e, x0)[0] - m.distance_sq(x - e, x0)[0]) / (2.0 * h)
             assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -126,7 +126,7 @@ class TestLearnedMetric:
         # training is deterministic, so refitting recovers the span exactly
         w = train(ds.features, ds.protected["p"], "logistic", cfg).weights
         x = np.random.default_rng(7).normal(size=4)
-        assert metric.distance_sq(x, x + w) <= 1e-8 * float(w @ w)
+        assert metric.distance_sq(x[None, :], (x + w)[None, :])[0] <= 1e-8 * float(w @ w)
 
     def test_duplicate_columns_collapse_to_rank_one(self):
         ds = make_protected_dataset(np.random.default_rng(8), duplicate=True)
@@ -170,7 +170,7 @@ class TestRotatedMetric:
 
     def test_five_degree_cost_of_unit_first_coordinate_move(self):
         m = rotated_coordinate_metric(math.radians(5.0))
-        d = m.distance_sq(np.array([1.0, 0.0]), np.zeros(2))
+        d = m.distance_sq(np.array([[1.0, 0.0]]), np.zeros((1, 2)))[0]
         assert d == pytest.approx(math.sin(math.radians(5.0)) ** 2, abs=1e-12)
         assert d == pytest.approx(0.0075961, abs=1e-6)
 
@@ -178,7 +178,7 @@ class TestRotatedMetric:
         beta = math.radians(10.0)
         m = rotated_coordinate_metric(beta)
         free = np.array([math.cos(beta), math.sin(beta)])
-        assert m.distance_sq(free, np.zeros(2)) == pytest.approx(0.0, abs=1e-15)
+        assert m.distance_sq(free[None, :], np.zeros((1, 2)))[0] == pytest.approx(0.0, abs=1e-15)
         # and the metric is the rank-one projector onto the charged direction
         assert np.trace(m.sigma) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(m.sigma @ m.sigma - m.sigma)) < 1e-12
@@ -195,8 +195,8 @@ class TestMisspecificationGap:
         m2 = FairMetric(sigma=random_psd(rng, 4))
         level = misspecification_level(m1, m2)
         for _ in range(200):
-            x, x0 = rng.normal(size=4), rng.normal(size=4)
-            gap = np.linalg.norm(m1.distance_sq_gradient(x, x0) - m2.distance_sq_gradient(x, x0))
+            x, x0 = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+            gap = np.linalg.norm(m1.distance_sq_gradient(x, x0)[0] - m2.distance_sq_gradient(x, x0)[0])
             assert gap <= level * np.linalg.norm(x - x0) + 1e-12
 
     def test_dimension_mismatch(self):

@@ -16,7 +16,6 @@ from fairaudit.inference import (
     error_rate_test,
     loss_ratio_stats,
     loss_ratio_test,
-    normal_cdf,
     normal_quantile,
     one_sided_lower_bound,
     two_sided_ci,
@@ -39,7 +38,7 @@ class TestNormalQuantile:
     def test_inverts_the_cdf_across_the_range(self):
         for p in [1e-6, 1e-4, 0.01, 0.02425, 0.2, 0.5, 0.8, 0.975, 0.99, 0.9999, 1.0 - 1e-6]:
             z = normal_quantile(p)
-            assert abs(normal_cdf(z) - p) < 1e-9
+            assert abs(helpers.reference_normal_cdf(z) - p) < 1e-9
 
     def test_agrees_with_scipy(self):
         for p in [1e-5, 0.1, 0.5, 0.9, 0.95, 1.0 - 1e-5]:

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
+from fairaudit.fair_metric import FairMetric
 from fairaudit.models import (
     LOSS_CAP,
     LOSS_FLOOR,
@@ -23,29 +25,29 @@ def finite_difference_gradient(model, x, y, h=1e-5):
     for j in range(len(x)):
         e = np.zeros(len(x))
         e[j] = h
-        g[j] = (model.loss(x + e, y) - model.loss(x - e, y)) / (2.0 * h)
+        g[j] = (model.loss((x + e)[None, :], y)[0] - model.loss((x - e)[None, :], y)[0]) / (2.0 * h)
     return g
 
 
 class TestPredictProba:
     def test_zero_model_gives_half(self):
         m = LogisticModel(weights=np.zeros(3), bias=0.0)
-        assert m.predict_proba(np.array([5.0, -2.0, 0.1])) == 0.5
+        assert m.predict_proba(np.array([[5.0, -2.0, 0.1]]))[0] == 0.5
 
     def test_orthogonal_direction_is_ignored(self):
         m = LogisticModel(weights=np.array([1.0, 0.0]), bias=0.0)
         for y in (-10.0, 0.0, 3.0):
-            assert m.predict_proba(np.array([0.0, y])) == 0.5
+            assert m.predict_proba(np.array([[0.0, y]]))[0] == 0.5
 
     def test_expit_value(self):
         m = LogisticModel(weights=np.array([2.0]), bias=1.0)
-        assert m.predict_proba(np.array([0.5])) == pytest.approx(0.8807970779, abs=1e-9)
+        assert m.predict_proba(np.array([[0.5]]))[0] == pytest.approx(0.8807970779, abs=1e-9)
 
     def test_monotone_in_bias(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=4)
         w = rng.normal(size=4)
-        probs = [LogisticModel(weights=w, bias=b).predict_proba(x) for b in np.linspace(-3, 3, 13)]
+        probs = [LogisticModel(weights=w, bias=b).predict_proba(x[None, :])[0] for b in np.linspace(-3, 3, 13)]
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
     def test_dimension_mismatch(self):
@@ -57,19 +59,19 @@ class TestPredictProba:
 class TestLoss:
     def test_half_probability_gives_log_two(self):
         m = LogisticModel(weights=np.zeros(2), bias=0.0)
-        assert m.loss(np.array([1.0, 2.0]), 1.0) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert m.loss(np.array([[1.0, 2.0]]), 1.0)[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_clamp_keeps_loss_finite_and_positive(self):
         m = LogisticModel(weights=np.array([100.0]), bias=0.0)
         # p -> 1 with y = 1: clamped at the floor -log(1 - p_floor)
-        assert m.loss(np.array([10.0]), 1.0) == LOSS_FLOOR
+        assert m.loss(np.array([[10.0]]), 1.0)[0] == LOSS_FLOOR
         # p -> 1 with y = 0: clamped at the cap -log(p_floor)
-        assert m.loss(np.array([10.0]), 0.0) == LOSS_CAP
+        assert m.loss(np.array([[10.0]]), 0.0)[0] == LOSS_CAP
         assert LOSS_FLOOR > 0.0
 
     def test_cross_entropy_value(self):
         m = LogisticModel(weights=np.array([2.0]), bias=1.0)
-        assert m.loss(np.array([0.5]), 0.0) == pytest.approx(2.1269280110429727, abs=1e-9)
+        assert m.loss(np.array([[0.5]]), 0.0)[0] == pytest.approx(2.1269280110429727, abs=1e-9)
 
     def test_loss_positive_for_random_inputs(self):
         rng = np.random.default_rng(3)
@@ -81,17 +83,17 @@ class TestLoss:
     def test_bad_label_rejected(self):
         m = LogisticModel(weights=np.zeros(1), bias=0.0)
         with pytest.raises(ValueError, match="labels"):
-            m.loss(np.array([0.0]), 0.5)
+            m.loss(np.array([[0.0]]), 0.5)
 
 
 class TestInputGradient:
     def test_zero_weights_give_zero_gradient(self):
         m = LogisticModel(weights=np.zeros(3), bias=2.0)
-        assert_array_equal(m.input_gradient(np.ones(3), 1.0), np.zeros(3))
+        assert_array_equal(m.input_gradient(np.ones((1, 3)), 1.0)[0], np.zeros(3))
 
     def test_logistic_closed_form(self):
         m = LogisticModel(weights=np.array([2.0]), bias=1.0)
-        g = m.input_gradient(np.array([0.5]), 0.0)
+        g = m.input_gradient(np.array([[0.5]]), 0.0)[0]
         assert g[0] == pytest.approx(0.8807970779 * 2.0, abs=1e-9)
 
     @pytest.mark.parametrize("activation", ["tanh", "softplus"])
@@ -102,18 +104,43 @@ class TestInputGradient:
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5, 3)
             y = float(rng.integers(0, 2))
-            g = model.input_gradient(x, y)
+            g = model.input_gradient(x[None, :], y)[0]
             fd = finite_difference_gradient(model, x, y)
             assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-5
 
-    def test_batch_rows_match_single_calls(self):
-        rng = np.random.default_rng(5)
-        m = LogisticModel(weights=rng.normal(size=3), bias=0.2)
-        x = rng.normal(size=(6, 3))
-        y = (rng.random(6) < 0.5).astype(float)
-        batch = m.input_gradient(x, y)
-        for i in range(6):
-            assert_allclose(batch[i], m.input_gradient(x[i], y[i]), rtol=0, atol=0)
+
+def small_model(arch):
+    """A 3-input model of the given architecture."""
+    if arch == "logistic":
+        return LogisticModel(weights=np.array([1.0, 2.0, 3.0]), bias=0.1)
+    return MlpModel(layer1_weights=np.ones((2, 3)), layer1_bias=np.zeros(2), layer2_weights=np.ones(2), layer2_bias=0.0)
+
+
+class TestBatchContract:
+    """Models and metrics take ``(n, d)`` batches and labels that match them."""
+
+    @pytest.mark.parametrize(
+        "owner, method",
+        [(arch, m) for arch in ("logistic", "mlp") for m in ("predict_proba", "loss", "input_gradient")]
+        + [("metric", "distance_sq"), ("metric", "distance_sq_gradient")],
+    )
+    def test_one_dimensional_point_rejected_by_shape(self, owner, method):
+        point = np.array([0.5, -1.0, 2.0])
+        if owner == "metric":
+            target, args = FairMetric(sigma=np.eye(3)), (point, point)
+        else:
+            target, args = small_model(owner), (point,) if method == "predict_proba" else (point, 1.0)
+        with pytest.raises(ValueError, match=re.escape("(n, 3)")):
+            getattr(target, method)(*args)
+
+    @pytest.mark.parametrize("arch", ["logistic", "mlp"])
+    @pytest.mark.parametrize("method", ["loss", "input_gradient"])
+    @pytest.mark.parametrize("label_shape", [(4, 1), (5,)], ids=["column", "one-extra"])
+    def test_labels_must_match_the_batch(self, arch, method, label_shape):
+        x = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+        expected = f"labels must be a scalar or of shape (4,) for 4 rows, got shape {label_shape}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            getattr(small_model(arch), method)(x, np.zeros(label_shape))
 
 
 class TestTraining:
@@ -144,7 +171,7 @@ class TestTraining:
         pt = np.array([0.3, -0.4, 1.2])
         moved = pt.copy()
         moved[0] += 123.0
-        assert model.predict_proba(pt) == model.predict_proba(moved)
+        assert model.predict_proba(pt[None, :])[0] == model.predict_proba(moved[None, :])[0]
 
     def test_single_class_with_reweighting_rejected(self):
         x = np.ones((10, 2))
@@ -237,16 +264,15 @@ class TestGradientFormulas:
         y = (rng.random(9) < 0.5).astype(float)
         p = expit((x @ proj) @ m.weights + m.bias)
         assert_array_equal(m.input_gradient(x, y), (p - y)[:, None] * (proj @ m.weights)[None, :])
-        assert_array_equal(m.input_gradient(x[3], y[3]), m.input_gradient(x[3:4], y[3:4])[0])
 
     def test_logistic_cached_direction_is_not_part_of_the_model_value(self):
         m = LogisticModel(weights=np.array([1.0, 2.0]), bias=0.5, projector=np.diag([1.0, 0.0]))
         assert "_logit_gradient" not in repr(m)
         assert set(m.to_dict()) == {"architecture", "weights", "bias", "projector"}
         back = model_from_dict(json.loads(json.dumps(m.to_dict())))
-        assert_array_equal(back.input_gradient(np.ones(2), 1.0), m.input_gradient(np.ones(2), 1.0))
+        assert_array_equal(back.input_gradient(np.ones((1, 2)), 1.0)[0], m.input_gradient(np.ones((1, 2)), 1.0)[0])
         plain = LogisticModel(weights=np.array([1.0, 2.0]), bias=0.5)
-        assert_array_equal(plain.input_gradient(np.ones(2), 0.0), (expit(3.5) - 0.0) * np.array([1.0, 2.0]))
+        assert_array_equal(plain.input_gradient(np.ones((1, 2)), 0.0)[0], (expit(3.5) - 0.0) * np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("activation", ["tanh", "softplus"])
     @pytest.mark.parametrize("projected", [False, True], ids=["plain", "projected"])
