@@ -3,9 +3,9 @@
 
 The attack integrates the penalized ascent field
     g(x) = grad loss(f(x), y) - lam * grad d^2(x, x0)
-with forward Euler.  This script shows the trace on one point, checks the
-end point against a closed-form flow, and demonstrates the global
-stability bound for the discretization.
+with forward Euler.  This script attacks a batch of one point, keeping
+every step, and reads that point's trace as column 0 of the batch trace.
+It then demonstrates the global stability bound for the discretization.
 """
 
 import math
@@ -14,11 +14,12 @@ import numpy as np
 
 from fairaudit import (
     AttackConfig,
+    AttackTrace,
     LinearFlowProblem,
     LogisticModel,
     StabilityProbe,
     stability_gap,
-    unfair_map,
+    unfair_map_batch,
 )
 from fairaudit.fair_metric import rotated_coordinate_metric
 
@@ -27,21 +28,23 @@ from fairaudit.fair_metric import rotated_coordinate_metric
 model = LogisticModel(weights=np.array([3.0, 1.0]), bias=0.5)
 metric = rotated_coordinate_metric(0.0)  # d^2 charges only the second coordinate
 
-x0 = np.array([0.4, -0.2])
-y = 0.0
+x0 = np.array([[0.4, -0.2]])  # a batch of one point
+y = np.array([0.0])
 cfg = AttackConfig(lam=50.0, num_steps=500, schedule="constant", eta=0.01)
 
-phi, trace = unfair_map(model, metric, cfg, x0, y, record_trace=True)
-print("start point        :", x0)
-print("attacked point     :", np.round(phi, 4))
+phi, _, kept = unfair_map_batch(model, metric, cfg, x0, y, keep_steps=range(cfg.num_steps + 1))
+trace = AttackTrace.record(model, metric, cfg, kept, x0, y)
+losses, penalties = trace.losses[:, 0], trace.penalties[:, 0]
+print("start point        :", x0[0])
+print("attacked point     :", np.round(phi[0], 4))
 print("effective horizon T:", trace.horizon)
-print("loss before        : %.6f" % trace.losses[0])
-print("loss after         : %.6f" % trace.losses[-1])
-print("loss ratio         : %.3f" % (trace.losses[-1] / trace.losses[0]))
-print("fair-distance paid : %.6f" % (trace.penalties[-1] / cfg.lam))
+print("loss before        : %.6f" % losses[0])
+print("loss after         : %.6f" % losses[-1])
+print("loss ratio         : %.3f" % (losses[-1] / losses[0]))
+print("fair-distance paid : %.6f" % (penalties[-1] / cfg.lam))
 
 # The penalized objective the flow ascends never decreases step to step.
-steps = np.diff(trace.objective())
+steps = np.diff(trace.objective()[:, 0])
 print("min per-step objective change: %.2e (never below -1e-9)" % steps.min())
 
 # Euler error control: on a field with a known flow, the realized gap obeys

@@ -19,9 +19,9 @@ being measured.  For fields with an analytically known flow,
 h * m * sqrt(d) / (2 L) * (e^{L T} - 1), where L is a Lipschitz constant of
 the field and m bounds ||J_g(x) g(x)||_inf along the path.
 
-``unfair_map`` is pure: identical inputs give bit-identical outputs, and
-each sample's outcome depends only on its own inputs, so callers may
-process samples concurrently in any order.
+``unfair_map_batch`` attacks a batch of points at once and is pure:
+identical inputs give bit-identical outputs, and each sample's outcome
+depends only on its own inputs.  ``unfair_map`` is Phi on a batch of one.
 """
 
 from __future__ import annotations
@@ -108,17 +108,17 @@ def constant_config_for_horizon(lam: float, horizon: float, eta: float = 0.01) -
 
 @dataclass(frozen=True, eq=False)
 class AttackTrace:
-    """Per-step record of an attack: iterates x_0..x_N, losses, and penalties.
+    """Per-step record of a batch attack: iterates x_0..x_N, losses, and penalties.
 
-    ``losses[k]`` is the clamped model loss at iterate k and ``penalties[k]``
-    is lam * d^2(x_k, x_0), so ``losses - penalties`` is the penalized
-    objective the flow ascends.  A single attack has iterates ``(N+1, d)``
-    and losses ``(N+1,)``; a batch has ``(N+1, n, d)`` and ``(N+1, n)``.
+    ``losses[k, i]`` is the clamped model loss of sample i at iterate k and
+    ``penalties[k, i]`` is lam * d^2(x_k, x_0) for that sample, so
+    ``losses - penalties`` is the penalized objective the flow ascends.
+    One point's trace is column 0 of the trace of a batch of one.
     """
 
-    iterates: np.ndarray  # (N+1, d) or (N+1, n, d)
-    losses: np.ndarray  # (N+1,) or (N+1, n)
-    penalties: np.ndarray  # (N+1,) or (N+1, n)
+    iterates: np.ndarray  # (N+1, n, d)
+    losses: np.ndarray  # (N+1, n)
+    penalties: np.ndarray  # (N+1, n)
     step_sizes: np.ndarray  # (N,)
     horizon: float
 
@@ -151,23 +151,10 @@ def flow_field(model, metric: FairMetric, lam: float, x, x0, y, out=None):
     return np.subtract(model.input_gradient(x, y), penalty, out=penalty)
 
 
-def unfair_map(model, metric: FairMetric, cfg: AttackConfig, x0, y, record_trace: bool = False):
-    """Run the Euler attack from a single point; returns (x_final, trace or None).
-
-    This is ``unfair_map_batch`` on a batch of one, so single-sample and
-    batched attacks share one Euler loop.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 1 or not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be a finite 1-D point")
-    xb = x0[None, :]
-    yb = np.full(1, y, dtype=np.float64)
-    if not record_trace:
-        x, _ = unfair_map_batch(model, metric, cfg, xb, yb)
-        return x[0], None
-    x, _, kept = unfair_map_batch(model, metric, cfg, xb, yb, keep_steps=range(cfg.num_steps + 1))
-    t = AttackTrace.record(model, metric, cfg, kept, xb, yb)
-    return x[0], AttackTrace(t.iterates[:, 0], t.losses[:, 0], t.penalties[:, 0], t.step_sizes, t.horizon)
+def unfair_map(model, metric: FairMetric, cfg: AttackConfig, x0, y) -> np.ndarray:
+    """The unfair map Phi(x0, y) of one point: ``unfair_map_batch`` on a batch of one."""
+    xb, yb = np.asarray(x0, dtype=np.float64)[None], np.asarray(y, dtype=np.float64)[None]
+    return unfair_map_batch(model, metric, cfg, xb, yb)[0][0]
 
 
 def unfair_map_batch(
@@ -196,14 +183,13 @@ def unfair_map_batch(
     The state, the field and the displacement live in ``(n, d)`` buffers
     allocated once per call, so a step allocates nothing of that size but
     the model's gradient and the metric's difference ``x - x0``.  The
-    returned ``x_final`` is one of these buffers.
+    returned ``x_final`` is one of these buffers.  This is the one check of
+    attack inputs: a non-finite ``x0``, or shapes other than ``(n, d)`` and
+    ``(n,)``, raise a ``ValueError`` naming them.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 2:
-        raise ValueError("x0 must be an (n, d) array")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (x0.shape[0],):
-        raise ValueError("y must be a 1-D array matching x0")
+    x0, y = np.asarray(x0, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x0.ndim != 2 or y.shape != x0.shape[:1] or not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be a finite (n, d) array and y an (n,) array, got shapes {x0.shape} and {y.shape}")
     steps = cfg.step_sizes()
     keep = [] if keep_steps is None else [int(k) for k in keep_steps]
     if any(not 0 <= k <= len(steps) for k in keep) or any(b < a for a, b in zip(keep, keep[1:])):

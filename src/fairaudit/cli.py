@@ -28,7 +28,7 @@ import numpy as np
 from . import inference, sim
 # bench/traced_cli.py patches the ``unfair_map`` binding of this module
 from .attack import AttackConfig, DivergenceError, unfair_map  # noqa: F401
-from .dataset import atomic_write_text, load_csv, save_csv, split_csv
+from .dataset import _read_json_object, atomic_write_text, load_csv, save_csv, split_csv
 from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
 from .inference import NoBaselineErrors
 from .models import TrainConfig, load_model, save_model, train
@@ -205,10 +205,7 @@ def _convert(kind, value):
 
 
 def _parse_config(path, command: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{command}: config must be a JSON object")
+    doc = _read_json_object(path, f"{command} config")
     schema = _SCHEMAS[command]
     unknown = sorted(set(doc) - set(schema))
     if unknown:

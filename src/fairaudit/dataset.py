@@ -13,6 +13,7 @@ non-numeric cells and infinite cells such as ``inf`` are errors.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import tempfile
@@ -46,10 +47,19 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
+def _read_json_object(path, kind: str) -> dict:
+    """The JSON object in the file at ``path``; any other document raises, naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} file {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _check_binary_column(values: np.ndarray, name: str) -> np.ndarray:
     if not np.all((values == 0.0) | (values == 1.0)):
         bad = values[(values != 0.0) & (values != 1.0)][0]
-        raise ValueError(f"column {name!r} must be binary 0/1, found value {bad!r}")
+        raise ValueError(f"column {name!r} must be binary 0/1, found value {float(bad)!r}")
     return values.astype(np.int64)
 
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import models
+from .dataset import _read_json_object, atomic_write_text
 from .linalg import DEFAULT_RANK_TOL, as_matrix, fields_equal, orthonormal_basis, projector_orthogonal_to
 
 SYMMETRY_TOL = 1e-10
@@ -73,21 +75,21 @@ class FairMetric:
 
 
 def metric_from_dict(doc: dict) -> FairMetric:
-    sigma = as_matrix(doc["sigma"], "sigma")
-    if sigma.shape != (doc["dim"], doc["dim"]):
+    try:
+        dim, sigma = doc["dim"], as_matrix(doc["sigma"], "sigma")
+    except KeyError as exc:
+        raise ValueError(f"metric has no key {exc}") from None
+    if sigma.shape != (dim, dim):
         raise ValueError("metric dimension does not match sigma shape")
     return FairMetric(sigma=sigma)
 
 
 def save_metric(metric: FairMetric, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metric.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_text(path, chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(metric.to_dict()), "\n"))
 
 
 def load_metric(path) -> FairMetric:
-    with open(path, encoding="utf-8") as fh:
-        return metric_from_dict(json.load(fh))
+    return metric_from_dict(_read_json_object(path, "metric"))
 
 
 @dataclass(frozen=True)

@@ -272,8 +272,6 @@ def audit(
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValueError("features must be (n, d) with matching 1-D labels")
     check_levels(alpha, delta)
     keep_steps = range(attack_cfg.num_steps + 1) if record_trace else None
     attacked, divergent, *kept = unfair_map_batch(

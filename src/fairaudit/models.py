@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .linalg import as_matrix, fields_equal
+from .dataset import _read_json_object, atomic_write_text
+from .linalg import as_matrix, as_vector, fields_equal
 
 # Probabilities are clamped to [P_FLOOR, 1 - P_FLOOR] inside the loss, which
 # bounds it to [LOSS_FLOOR, LOSS_CAP].  The positive floor keeps loss ratios
@@ -47,8 +49,7 @@ def expit(z):
     # exp(-|z|) is exp(-z) where z >= 0 and exp(z) elsewhere, so it never overflows
     e = np.exp(-np.abs(z))
     d = 1.0 + e
-    out = np.where(z >= 0, 1.0 / d, e / d)
-    return out if out.ndim else float(out)
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def logit(p: float) -> float:
@@ -66,8 +67,7 @@ def loss_from_logit(z, y):
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     raw = np.logaddexp(0.0, (1.0 - 2.0 * y) * z)
-    out = np.clip(raw, LOSS_FLOOR, LOSS_CAP)
-    return out if out.ndim else float(out)
+    return np.clip(raw, LOSS_FLOOR, LOSS_CAP)
 
 
 def _softplus(z):
@@ -88,11 +88,12 @@ _ACTIVATIONS = {
 }
 
 
-def _check_labels(y, n: int | None = None) -> np.ndarray:
-    """Labels as floats; with ``n``, only a scalar or an ``(n,)`` array is accepted."""
+def _check_labels(y, n: int, scalar: bool = True) -> np.ndarray:
+    """0/1 labels as floats for ``n`` rows: an ``(n,)`` array, or a scalar unless ``scalar`` is false."""
     arr = np.asarray(y, dtype=np.float64)
-    if n is not None and arr.ndim != 0 and arr.shape != (n,):
-        raise ValueError(f"labels must be a scalar or of shape ({n},) for {n} rows, got shape {arr.shape}")
+    if arr.shape != (n,) and not (scalar and arr.ndim == 0):
+        either = "a scalar or " if scalar else ""
+        raise ValueError(f"labels must be {either}of shape ({n},) for {n} rows, got shape {arr.shape}")
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValueError("labels must be 0 or 1")
     return arr
@@ -119,7 +120,8 @@ class LogisticModel:
     __eq__ = fields_equal
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+        object.__setattr__(self, "weights", as_vector(self.weights, "weights"))
+        as_vector([self.bias], "bias")  # rejects a non-finite bias, naming it
         w = self.weights
         if self.projector is not None:
             object.__setattr__(self, "projector", as_matrix(self.projector, "projector"))
@@ -170,9 +172,10 @@ class MlpModel:
     __eq__ = fields_equal
 
     def __post_init__(self):
-        object.__setattr__(self, "layer1_weights", np.asarray(self.layer1_weights, dtype=np.float64))
-        object.__setattr__(self, "layer1_bias", np.asarray(self.layer1_bias, dtype=np.float64))
-        object.__setattr__(self, "layer2_weights", np.asarray(self.layer2_weights, dtype=np.float64))
+        object.__setattr__(self, "layer1_weights", as_matrix(self.layer1_weights, "layer1_weights"))
+        object.__setattr__(self, "layer1_bias", as_vector(self.layer1_bias, "layer1_bias"))
+        object.__setattr__(self, "layer2_weights", as_vector(self.layer2_weights, "layer2_weights"))
+        as_vector([self.layer2_bias], "layer2_bias")  # rejects a non-finite bias, naming it
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}; use tanh or softplus")
         h, d = self.layer1_weights.shape
@@ -232,32 +235,33 @@ class MlpModel:
 
 
 def model_from_dict(doc: dict):
-    """Inverse of ``Model.to_dict``; the round trip is bit-identical."""
+    """Inverse of ``Model.to_dict``; the round trip is bit-identical.  A missing key raises, naming it."""
     arch = doc.get("architecture")
     proj = doc.get("projector")
-    if arch == "logistic":
-        return LogisticModel(weights=doc["weights"], bias=doc["bias"], projector=proj)
-    if arch == "mlp":
-        return MlpModel(
-            layer1_weights=doc["layer1_weights"],
-            layer1_bias=doc["layer1_bias"],
-            layer2_weights=doc["layer2_weights"],
-            layer2_bias=doc["layer2_bias"],
-            activation=doc["activation"],
-            projector=proj,
-        )
+    try:
+        if arch == "logistic":
+            return LogisticModel(weights=doc["weights"], bias=doc["bias"], projector=proj)
+        if arch == "mlp":
+            return MlpModel(
+                layer1_weights=doc["layer1_weights"],
+                layer1_bias=doc["layer1_bias"],
+                layer2_weights=doc["layer2_weights"],
+                layer2_bias=doc["layer2_bias"],
+                activation=doc["activation"],
+                projector=proj,
+            )
+    except KeyError as exc:
+        raise ValueError(f"{arch} model has no key {exc}") from None
     raise ValueError(f"unknown architecture tag {arch!r}")
 
 
 def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # streamed chunk by chunk: joining an MLP's encoded chunks first raised the command's peak RSS
+    atomic_write_text(path, chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(model.to_dict()), "\n"))
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(_read_json_object(path, "model"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,9 +307,7 @@ def train(features, labels, architecture: str = "logistic", cfg: TrainConfig = T
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("features must be a non-empty (n, d) array")
-    y = _check_labels(labels)
-    if y.shape != (x.shape[0],):
-        raise ValueError("labels must be a 1-D array matching features")
+    y = _check_labels(labels, len(x), scalar=False)
     n, d = x.shape
 
     if cfg.class_reweight:

@@ -115,7 +115,7 @@ def fit_bias(features, labels, w1: float, w2: float) -> float:
     minimizer and return the clamp value +/-50.
     """
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
+    y = _check_labels(labels, len(x), scalar=False)
     s = x[:, 0] * w1 + x[:, 1] * w2
 
     def grad(b):
@@ -240,7 +240,7 @@ def sweep_heatmap(
     any of its rows diverged.  The other cells are folded as one stack.
     """
     x = np.asarray(features, dtype=np.float64)
-    y = _check_labels(labels)
+    y = _check_labels(labels, len(x), scalar=False)
     n = x.shape[0]
     pairs = [(w1, w2) for w1 in grid.w1_values for w2 in grid.w2_values]
     biases = [fit_bias(x, y, w1, w2) for w1, w2 in pairs]

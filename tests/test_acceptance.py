@@ -19,6 +19,7 @@ from fairaudit.fair_metric import (
     rotated_coordinate_metric,
 )
 from fairaudit.models import LogisticModel, TrainConfig, train
+from test_attack import trace_of_one
 
 
 def report(line: str) -> None:
@@ -219,10 +220,9 @@ def test_criterion_08_robustness_ladder_and_bound(sim_dataset, unfair_sim_model)
     m2 = type(m1)(sigma=sigma2)
     cfg = attack.AttackConfig(lam=lam, num_steps=4000, schedule="constant", eta=horizon / 4000)
     x0 = np.array([0.2, 0.1])
-    _, tr1 = attack.unfair_map(stub, m1, cfg, x0, 1.0, record_trace=True)
-    _, tr2 = attack.unfair_map(stub, m2, cfg, x0, 1.0, record_trace=True)
-    observed = abs(tr1.losses[-1] / tr1.losses[0] - tr2.losses[-1] / tr2.losses[0])
-    pts = np.vstack([tr1.iterates[::40], tr2.iterates[::40]])
+    tr1, tr2 = (trace_of_one(stub, m, cfg, x0, 1.0) for m in (m1, m2))
+    observed = abs(tr1.losses[-1, 0] / tr1.losses[0, 0] - tr2.losses[-1, 0] / tr2.losses[0, 0])
+    pts = np.vstack([tr1.iterates[::40, 0], tr2.iterates[::40, 0]])
     diameter = float(np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)))
     lipschitz = 2.0 * lam * max(np.linalg.norm(m1.sigma, 2), np.linalg.norm(m2.sigma, 2))
     bound = sim.robustness_gap_bound(

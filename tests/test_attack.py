@@ -9,6 +9,7 @@ import helpers
 from fairaudit.attack import (
     DIVERGENCE_RADIUS,
     AttackConfig,
+    AttackTrace,
     DivergenceError,
     LinearFlowProblem,
     StabilityBoundError,
@@ -25,6 +26,13 @@ from fairaudit.fair_metric import FairMetric, rotated_coordinate_metric
 from fairaudit.inference import audit
 from fairaudit.models import LogisticModel, MlpModel
 from fairaudit.sim import StackedLogistic, fit_bias
+
+
+def trace_of_one(model, metric, cfg, x0, y):
+    """The trace of the attack on the batch of one ``[x0]``: one point's trace is its column 0."""
+    xb, yb = np.asarray(x0, dtype=np.float64)[None], np.array([y], dtype=np.float64)
+    _, _, kept = unfair_map_batch(model, metric, cfg, xb, yb, keep_steps=range(cfg.num_steps + 1))
+    return AttackTrace.record(model, metric, cfg, kept, xb, yb)
 
 
 class LinearLossStub:
@@ -146,7 +154,8 @@ class TestUnfairMap:
     def test_identity_when_field_vanishes(self):
         m = LogisticModel(weights=np.zeros(2), bias=0.4)
         x0 = np.array([1.0, -2.0])
-        out, _ = unfair_map(m, FairMetric(sigma=np.eye(2)), AttackConfig(lam=1.0, num_steps=50), x0, 1.0)
+        out = unfair_map(m, FairMetric(sigma=np.eye(2)), AttackConfig(lam=1.0, num_steps=50), x0, 1.0)
+        assert out.shape == (2,)
         assert_array_equal(out, x0)
 
     def test_single_step_is_the_euler_update(self):
@@ -155,7 +164,7 @@ class TestUnfairMap:
         metric = FairMetric(sigma=np.eye(2))
         x0 = rng.normal(size=2)
         cfg = AttackConfig(lam=0.7, num_steps=1, eta=0.1)
-        out, _ = unfair_map(m, metric, cfg, x0, 0.0)
+        out = unfair_map(m, metric, cfg, x0, 0.0)
         assert_array_equal(out, x0 + 0.1 * flow_field(m, metric, 0.7, x0[None, :], x0[None, :], 0.0)[0])
 
     def test_linear_loss_flow_matches_closed_form(self):
@@ -163,7 +172,7 @@ class TestUnfairMap:
         stub = LinearLossStub([1.0, 0.0])
         cfg = AttackConfig(lam=0.5, num_steps=10000, schedule="constant", eta=0.001)
         x0 = np.array([0.2, -0.1])
-        out, _ = unfair_map(stub, FairMetric(sigma=np.eye(2)), cfg, x0, 1.0)
+        out = unfair_map(stub, FairMetric(sigma=np.eye(2)), cfg, x0, 1.0)
         expected = x0 + np.array([1.0, 0.0]) * (1.0 - math.exp(-2.0 * 0.5 * 10.0))
         assert np.linalg.norm(out - expected) < 1e-3
 
@@ -172,8 +181,8 @@ class TestUnfairMap:
         m = LogisticModel(weights=rng.normal(size=2), bias=0.1)
         metric = rotated_coordinate_metric(0.0)
         x0 = rng.normal(size=2)
-        a, _ = unfair_map(m, metric, sim_preset(), x0, 1.0)
-        b, _ = unfair_map(m, metric, sim_preset(), x0, 1.0)
+        a = unfair_map(m, metric, sim_preset(), x0, 1.0)
+        b = unfair_map(m, metric, sim_preset(), x0, 1.0)
         assert_array_equal(a, b)
 
     def test_divergence_names_the_step(self):
@@ -195,12 +204,13 @@ class TestTrace:
         metric = FairMetric(sigma=np.eye(2))
         cfg = AttackConfig(lam=2.0, num_steps=25, eta=0.01)
         x0 = rng.normal(size=2)
-        out, trace = unfair_map(m, metric, cfg, x0, 1.0, record_trace=True)
-        assert trace.iterates.shape == (26, 2)
-        assert_array_equal(trace.iterates[-1], out)
+        trace = trace_of_one(m, metric, cfg, x0, 1.0)
+        iterates, losses, penalties = trace.iterates[:, 0], trace.losses[:, 0], trace.penalties[:, 0]
+        assert iterates.shape == (26, 2)
+        assert_array_equal(iterates[-1], unfair_map(m, metric, cfg, x0, 1.0))
         for k in (0, 7, 25):
-            assert trace.losses[k] == m.loss(trace.iterates[k][None, :], 1.0)[0]
-            assert trace.penalties[k] == 2.0 * metric.distance_sq(trace.iterates[k][None, :], x0[None, :])[0]
+            assert losses[k] == m.loss(iterates[k][None, :], 1.0)[0]
+            assert penalties[k] == 2.0 * metric.distance_sq(iterates[k][None, :], x0[None, :])[0]
         assert trace.horizon == pytest.approx(0.25)
 
     def test_penalized_objective_monotone_for_stable_steps(self, sim_dataset):
@@ -209,8 +219,8 @@ class TestTrace:
         m = LogisticModel(weights=np.array([3.0, 1.0]), bias=b)
         metric = rotated_coordinate_metric(0.0)
         for i in range(0, 50, 9):
-            _, trace = unfair_map(m, metric, audit_preset(), x[i], float(y[i]), record_trace=True)
-            steps = np.diff(trace.objective())
+            trace = trace_of_one(m, metric, audit_preset(), x[i], float(y[i]))
+            steps = np.diff(trace.objective()[:, 0])
             assert np.min(steps) > -1e-9
 
 
@@ -223,7 +233,7 @@ class TestBatch:
         batch, divergent = unfair_map_batch(m, metric, sim_preset(), x, y)
         assert divergent == []
         for i in range(x.shape[0]):
-            single, _ = unfair_map(m, metric, sim_preset(), x[i], y[i])
+            single = unfair_map(m, metric, sim_preset(), x[i], y[i])
             assert_allclose(batch[i], single, rtol=1e-12, atol=1e-12)
 
     def test_divergent_samples_flagged_and_frozen(self):
@@ -677,7 +687,7 @@ class TestTraceEquality:
     def trace(num_steps=3, x0=0.1):
         m = LogisticModel(weights=np.array([1.0, -0.5]), bias=0.0)
         cfg = AttackConfig(lam=1.0, num_steps=num_steps, eta=0.1)
-        return unfair_map(m, FairMetric(sigma=np.eye(2)), cfg, np.array([x0, 0.2]), 1.0, record_trace=True)[1]
+        return trace_of_one(m, FairMetric(sigma=np.eye(2)), cfg, np.array([x0, 0.2]), 1.0)
 
     def test_equal_when_every_field_is(self):
         assert self.trace() == self.trace()

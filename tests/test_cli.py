@@ -205,6 +205,33 @@ class TestAuditCommand:
         assert "unknown config keys" in err and "'threads'" in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "which, text, message",
+        [
+            ("model", "[]", "model file {path} must hold a JSON object, got list"),
+            (
+                "model",
+                '{"architecture": "logistic", "weights": [4.0, 0.0], "projector": null}',
+                "logistic model has no key 'bias'",
+            ),
+            ("metric", "[]", "metric file {path} must hold a JSON object, got list"),
+            (
+                "model",
+                '{"architecture": "logistic", "weights": [1.0, NaN], "bias": 0.0, "projector": null}',
+                "weights contains non-finite entries",
+            ),
+        ],
+        ids=["model-not-an-object", "model-without-bias", "metric-not-an-object", "model-nan-weight"],
+    )
+    def test_bad_model_or_metric_file_exits_10(self, tmp_path, sim_csv, metric_file, capsys, which, text, message):
+        path = tmp_path / f"bad-{which}.json"
+        path.write_text(text)
+        model = str(path) if which == "model" else unfair_model_file(tmp_path, sim_csv)
+        cfg = audit_config(tmp_path, model, str(path) if which == "metric" else metric_file, sim_csv)
+        assert cli.main(["audit", "--config", cfg]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"fairaudit audit: error: {message.format(path=path)}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_required_key_exits_10(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "a.json", {"model": "m.json"})
         assert cli.main(["audit", "--config", cfg]) == 10
@@ -474,8 +501,9 @@ class TestBatchedTrace:
         assert len((tmp_path / "t.jsonl").read_text().splitlines()) == 200 * 21
 
     def test_matches_per_sample_traces_and_samples_csv(self, tmp_path, sim_csv, metric_file):
-        from fairaudit.attack import sim_preset, unfair_map, unfair_map_batch
+        from fairaudit.attack import sim_preset, unfair_map_batch
         from fairaudit.dataset import load_csv
+        from test_attack import trace_of_one
 
         model_path = unfair_model_file(tmp_path, sim_csv)
         preset = sim_preset()
@@ -504,10 +532,10 @@ class TestBatchedTrace:
         penalties = np.array([r["penalty"] for r in records]).reshape(ds.n, steps)
 
         for i in range(0, ds.n, 20):
-            _, trace = unfair_map(model, metric, preset, ds.features[i], float(ds.labels[i]), record_trace=True)
-            np.testing.assert_array_equal(iterates[i], trace.iterates)
-            np.testing.assert_array_equal(losses[i], trace.losses)
-            np.testing.assert_array_equal(penalties[i], trace.penalties)
+            trace = trace_of_one(model, metric, preset, ds.features[i], float(ds.labels[i]))
+            np.testing.assert_array_equal(iterates[i], trace.iterates[:, 0])
+            np.testing.assert_array_equal(losses[i], trace.losses[:, 0])
+            np.testing.assert_array_equal(penalties[i], trace.penalties[:, 0])
 
         phi, _ = unfair_map_batch(model, metric, preset, ds.features, ds.labels.astype(float))
         np.testing.assert_array_equal(iterates[:, -1], phi)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -207,8 +207,9 @@ def test_atomic_write_streams_chunks(tmp_path):
 
 
 def reference_load(path, text, label, protected):
-    """The documented ingest rules, one cell at a time: the features, labels
-    and protected columns ``load_csv`` must return, or the text of its error."""
+    """The documented ingest rules, one cell at a time, then the 0/1 rule on the
+    label and then each protected column: the features, labels and protected
+    columns ``load_csv`` must return, or the text of its error."""
     rows = list(csv.reader(io.StringIO(text, newline="")))
     header = rows[0]
     kind = {h: "label" if h == label else "protected" if h in protected else "feature" for h in header}
@@ -231,6 +232,10 @@ def reference_load(path, text, label, protected):
     if not table:
         return f"{path}: no complete rows after dropping missing entries"
     columns = {name: [values[j] for values in table] for j, name in enumerate(header)}
+    for name in (label, *protected):
+        bad = [value for value in columns[name] if value not in (0.0, 1.0)]
+        if bad:
+            return f"column {name!r} must be binary 0/1, found value {bad[0]!r}"
     features = [[values[j] for j, h in enumerate(header) if kind[h] == "feature"] for values in table]
     return features, columns[label], {name: columns[name] for name in protected}
 
@@ -288,6 +293,7 @@ def csv_files(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=csv_files())
+@example(text="f0,label,f2,f1,p\n0,0,0,1,5\n")  # an unquoted "1,5" cell plus a dropped last cell
 def test_load_csv_matches_reference_parser(tmp_path, text):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))

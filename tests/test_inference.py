@@ -337,6 +337,18 @@ class TestAudit:
         assert report.error_rate is None
         assert report.s_n == 1.0
 
+    @pytest.mark.parametrize("skip_divergent", [False, True])
+    def test_non_finite_row_is_rejected_not_divergent(self, sim_dataset, unfair_sim_model, skip_divergent):
+        x, y = sim_dataset.features[:60].copy(), sim_dataset.labels[:60]
+        x[5, 0] = np.nan
+        with pytest.raises(ValueError, match=r"finite.*\(60, 2\)"):
+            audit(unfair_sim_model, rotated_coordinate_metric(0.0), sim_preset(), x, y, skip_divergent=skip_divergent)
+
+    def test_label_shape_mismatch_names_both_shapes(self, sim_dataset, unfair_sim_model):
+        x, y = sim_dataset.features[:60], sim_dataset.labels[:59]
+        with pytest.raises(ValueError, match=r"got shapes \(60, 2\) and \(59,\)"):
+            audit(unfair_sim_model, rotated_coordinate_metric(0.0), sim_preset(), x, y)
+
     def test_traced_report_equality_and_serialized_form(self, sim_dataset, unfair_sim_model):
         metric = rotated_coordinate_metric(0.0)
         cfg = dataclasses.replace(sim_preset(), num_steps=40)

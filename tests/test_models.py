@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from fairaudit.fair_metric import FairMetric
+from fairaudit.fair_metric import FairMetric, metric_from_dict, save_metric
 from fairaudit.models import (
     LOSS_CAP,
     LOSS_FLOOR,
@@ -16,6 +16,7 @@ from fairaudit.models import (
     expit,
     logit,
     model_from_dict,
+    save_model,
     train,
 )
 
@@ -232,6 +233,56 @@ class TestSerialization:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="architecture"):
             model_from_dict({"architecture": "forest"})
+
+    @pytest.mark.parametrize(
+        "from_dict, doc, message",
+        [
+            (model_from_dict, {"architecture": "logistic", "weights": [1.0]}, "logistic model has no key 'bias'"),
+            (model_from_dict, {"architecture": "mlp", "layer1_weights": [[1.0]]}, "mlp model has no key 'layer1_bias'"),
+            (metric_from_dict, {"sigma": [[1.0]]}, "metric has no key 'dim'"),
+        ],
+    )
+    def test_missing_key_named(self, from_dict, doc, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (LogisticModel, "weights"),
+            (LogisticModel, "bias"),
+            (MlpModel, "layer1_weights"),
+            (MlpModel, "layer1_bias"),
+            (MlpModel, "layer2_weights"),
+            (MlpModel, "layer2_bias"),
+        ],
+    )
+    def test_non_finite_parameter_named(self, cls, field):
+        params = {
+            LogisticModel: {"weights": np.ones(2), "bias": 0.5},
+            MlpModel: {
+                "layer1_weights": np.ones((3, 2)),
+                "layer1_bias": np.zeros(3),
+                "layer2_weights": np.ones(3),
+                "layer2_bias": 0.5,
+            },
+        }[cls]
+        params[field] = np.full(np.shape(params[field]), np.nan)
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite entries$"):
+            cls(**params)
+
+    @pytest.mark.parametrize("save", [save_model, save_metric])
+    def test_failed_save_keeps_the_old_file(self, tmp_path, save):
+        class Unserializable:
+            def to_dict(self):
+                return {"a": [1.0, 2.0], "b": object()}
+
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(TypeError):
+            save(Unserializable(), path)
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_expit_extremes_stay_in_unit_interval():

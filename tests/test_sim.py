@@ -91,6 +91,21 @@ class TestFitBias:
         assert sim.fit_bias(x, np.ones(5), 1.0, 1.0) == 50.0
         assert sim.fit_bias(x, np.zeros(5), 1.0, 1.0) == -50.0
 
+    @pytest.mark.parametrize("n_labels, caller", [(1, "fit_bias"), (5, "fit_bias"), (7, "fit_bias"), (5, "sweep_heatmap")])
+    def test_labels_must_match_the_rows(self, monkeypatch, true_metric, n_labels, caller):
+        def no_call(*args, **kwargs):
+            raise AssertionError("fitted or attacked before checking the labels")
+
+        x = np.random.default_rng(0).normal(size=(6, 2))
+        y = np.tile([0.0, 1.0], 4)[:n_labels]
+        with pytest.raises(ValueError, match=rf"labels must be of shape \(6,\) for 6 rows, got shape \({n_labels},\)"):
+            if caller == "fit_bias":
+                sim.fit_bias(x, y, 1.0, 0.0)
+            else:
+                monkeypatch.setattr(sim, "fit_bias", no_call)
+                monkeypatch.setattr(sim, "unfair_map_batch", no_call)
+                sim.sweep_heatmap(x, y, sim.GridSpec((0.0, 1.0), (0.0,)), true_metric, attack.sim_preset())
+
 
 class TestGridSpec:
     def test_default_grid_is_21_by_21(self):
