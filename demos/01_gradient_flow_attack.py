@@ -3,8 +3,9 @@
 
 The attack integrates the penalized ascent field
     g(x) = grad loss(f(x), y) - lam * grad d^2(x, x0)
-with forward Euler.  This script attacks a batch of one point, keeping
-every step, and reads that point's trace as column 0 of the batch trace.
+with forward Euler.  This script attacks a batch of one point, recording
+every step through the kernel's ``on_step`` hook, and reads that point's
+trace as column 0 of the batch trace.
 It then demonstrates the global stability bound for the discretization.
 """
 
@@ -32,8 +33,9 @@ x0 = np.array([[0.4, -0.2]])  # a batch of one point
 y = np.array([0.0])
 cfg = AttackConfig(lam=50.0, num_steps=500, schedule="constant", eta=0.01)
 
-phi, _, kept = unfair_map_batch(model, metric, cfg, x0, y, keep_steps=range(cfg.num_steps + 1))
-trace = AttackTrace.record(model, metric, cfg, kept, x0, y)
+states = np.empty((cfg.num_steps + 1, *x0.shape))  # the state after every step, filled by on_step
+phi, _ = unfair_map_batch(model, metric, cfg, x0, y, on_step=states.__setitem__)
+trace = AttackTrace.record(model, metric, cfg, states, x0, y)
 losses, penalties = trace.losses[:, 0], trace.penalties[:, 0]
 print("start point        :", x0[0])
 print("attacked point     :", np.round(phi[0], 4))

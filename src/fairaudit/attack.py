@@ -126,7 +126,7 @@ class AttackTrace:
 
     @classmethod
     def record(cls, model, metric: FairMetric, cfg: AttackConfig, iterates, x0, y) -> AttackTrace:
-        """Batch trace from the states ``unfair_map_batch`` keeps with ``keep_steps=range(N + 1)``."""
+        """Batch trace from the ``(N+1, n, d)`` states of an attack, recorded by ``on_step=states.__setitem__``."""
         losses = np.empty(iterates.shape[:2])
         penalties = np.empty(iterates.shape[:2])
         for k, xk in enumerate(iterates):
@@ -157,9 +157,7 @@ def unfair_map(model, metric: FairMetric, cfg: AttackConfig, x0, y) -> np.ndarra
     return unfair_map_batch(model, metric, cfg, xb, yb)[0][0]
 
 
-def unfair_map_batch(
-    model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_divergent: bool = False, keep_steps=None
-):
+def unfair_map_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_divergent: bool = False, on_step=None):
     """Vectorized attack over an (n, d) batch of independent samples.
 
     Returns ``(x_final, divergent)`` where ``divergent`` is the sorted list
@@ -167,10 +165,11 @@ def unfair_map_batch(
     at their last finite iterate; unless ``skip_divergent`` is set, any
     divergence raises instead.
 
-    ``keep_steps`` is an optional non-decreasing sequence of step counts in
-    ``[0, num_steps]``.  When given, a third element is returned: an array
-    of shape ``(len(keep_steps), n, d)`` whose slice j is the state after
-    ``keep_steps[j]`` steps (``x0`` for 0).
+    ``on_step(k, x)``, if given, is called once for each ``k = 0..num_steps``
+    in order, with the state after k steps (``x0`` for 0).  ``x`` is the
+    live state buffer: the callback may read or copy it, but must not keep
+    or change it.  ``states.__setitem__`` records every step into an
+    ``(N+1, n, d)`` array ``states``.
 
     Each step updates the whole state at once; a mask that freezes the
     diverged rows exists only after the first divergence.  The model sees
@@ -190,20 +189,13 @@ def unfair_map_batch(
     x0, y = np.asarray(x0, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x0.ndim != 2 or y.shape != x0.shape[:1] or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be a finite (n, d) array and y an (n,) array, got shapes {x0.shape} and {y.shape}")
-    steps = cfg.step_sizes()
-    keep = [] if keep_steps is None else [int(k) for k in keep_steps]
-    if any(not 0 <= k <= len(steps) for k in keep) or any(b < a for a, b in zip(keep, keep[1:])):
-        raise ValueError("keep_steps must be non-decreasing step counts within num_steps")
-    kept = np.empty((len(keep), *x0.shape))
-    # kept[bounds[k]:bounds[k + 1]] are the slots that ask for step k
-    bounds = np.searchsorted(keep, np.arange(len(steps) + 2)).tolist()
-
     # the workspace: two states swapped every step, the field, the displacement
     x = x0.copy()
     x_next = np.empty(x0.shape)
     field = np.empty(x0.shape)
     moved = np.empty(x0.shape)
-    kept[bounds[0] : bounds[1]] = x
+    if on_step is not None:
+        on_step(0, x)
     # a row with no entry farther than this from x0 has norm at most R / 2, so it is within
     # the radius R; None for an empty batch, which has no entries to bound
     near = DIVERGENCE_RADIUS / (2.0 * math.sqrt(x0.shape[1])) if x0.size else None
@@ -211,7 +203,7 @@ def unfair_map_batch(
     divergent: list[int] = []
     # overflow in a diverging row is detected below, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, eta in enumerate(steps, start=1):
+        for k, eta in enumerate(cfg.step_sizes(), start=1):
             g = flow_field(model, metric, cfg.lam, x, x0, y, out=field)
             g *= eta
             np.add(g, x, out=x_next)
@@ -231,12 +223,10 @@ def unfair_map_batch(
             if dead is not None:
                 np.copyto(x_next, x, where=dead[:, None])
             x, x_next = x_next, x
-            kept[bounds[k] : bounds[k + 1]] = x
-            if dead is not None and np.all(dead):
-                kept[bounds[k + 1] :] = x
-                break
+            if on_step is not None:
+                on_step(k, x)
     divergent.sort()
-    return (x, divergent) if keep_steps is None else (x, divergent, kept)
+    return x, divergent
 
 
 @dataclass(frozen=True)

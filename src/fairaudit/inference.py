@@ -273,10 +273,9 @@ def audit(
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     check_levels(alpha, delta)
-    keep_steps = range(attack_cfg.num_steps + 1) if record_trace else None
-    attacked, divergent, *kept = unfair_map_batch(
-        model, metric, attack_cfg, x, y, skip_divergent=skip_divergent, keep_steps=keep_steps
-    )
+    states = np.empty((attack_cfg.num_steps + 1, *x.shape)) if record_trace else None
+    on_step = None if states is None else states.__setitem__
+    attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x, y, skip_divergent=skip_divergent, on_step=on_step)
 
     keep = np.ones(x.shape[0], dtype=bool)
     keep[list(divergent)] = False
@@ -302,10 +301,9 @@ def audit(
             a_n=stats.a_n, b_n=stats.b_n, s_tilde=stats.s_tilde, t_tilde=t_tilde, reject=t_tilde > delta
         )
 
-    trace = None
-    if record_trace:
-        states = kept[0] if idx.size == x.shape[0] else kept[0][:, idx]  # a copy only to drop rows
-        trace = AttackTrace.record(model, metric, attack_cfg, states, x[idx], y[idx])
+    if record_trace and idx.size < x.shape[0]:
+        states = states[:, idx]  # a copy only to drop rows
+    trace = None if states is None else AttackTrace.record(model, metric, attack_cfg, states, x[idx], y[idx])
 
     return AuditReport(
         n=int(idx.size),

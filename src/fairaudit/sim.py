@@ -288,7 +288,7 @@ def stopping_time_sweep(
     Horizons must be non-decreasing.  Each horizon is realized as a
     constant-step Euler run whose step count best matches it; the returned
     pairs carry the realized horizon.  The runs share their prefix, so one
-    pass to the longest horizon keeps the iterate at each step count.
+    pass to the longest horizon takes the loss ratios at each step count.
     """
     hs = [float(h) for h in horizons]
     if not hs:
@@ -298,9 +298,16 @@ def stopping_time_sweep(
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     cfgs = [constant_config_for_horizon(lam, h, eta) for h in hs]
-    _, _, kept = unfair_map_batch(model, metric, cfgs[-1], x, y, keep_steps=[c.num_steps for c in cfgs])
+    counts = np.array([c.num_steps for c in cfgs])
     base = model.loss(x, y)
-    t_n = inference.one_sided_lower_bound(np.stack([model.loss(xk, y) / base for xk in kept]), alpha)
+    ratios = np.empty((len(cfgs), x.shape[0]))
+
+    def at_horizons(k, xk):
+        if k in counts:
+            ratios[counts == k] = model.loss(xk, y) / base
+
+    unfair_map_batch(model, metric, cfgs[-1], x, y, on_step=at_horizons)
+    t_n = inference.one_sided_lower_bound(ratios, alpha)
     return [(c.horizon, t) for c, t in zip(cfgs, t_n.tolist())]
 
 

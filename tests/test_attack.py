@@ -28,11 +28,21 @@ from fairaudit.models import LogisticModel, MlpModel
 from fairaudit.sim import StackedLogistic, fit_bias
 
 
+def recorded(attack, model, metric, cfg, x0, y, **kwargs):
+    """``attack`` (the kernel or ``reference_euler``) with every state recorded through ``on_step``.
+
+    Returns ``(x_final, divergent, states)``; ``states[k]`` is the state after k steps.
+    """
+    states = np.empty((cfg.num_steps + 1, *x0.shape))
+    out, divergent = attack(model, metric, cfg, x0, y, on_step=states.__setitem__, **kwargs)
+    return out, divergent, states
+
+
 def trace_of_one(model, metric, cfg, x0, y):
     """The trace of the attack on the batch of one ``[x0]``: one point's trace is its column 0."""
     xb, yb = np.asarray(x0, dtype=np.float64)[None], np.array([y], dtype=np.float64)
-    _, _, kept = unfair_map_batch(model, metric, cfg, xb, yb, keep_steps=range(cfg.num_steps + 1))
-    return AttackTrace.record(model, metric, cfg, kept, xb, yb)
+    _, _, states = recorded(unfair_map_batch, model, metric, cfg, xb, yb)
+    return AttackTrace.record(model, metric, cfg, states, xb, yb)
 
 
 class LinearLossStub:
@@ -360,7 +370,8 @@ class TestKeepSteps:
         x, y = sim_dataset.features[:50], sim_dataset.labels[:50].astype(float)
         metric = rotated_coordinate_metric(0.3)
         keep = [0, 1, 1, cfg.num_steps // 2, cfg.num_steps]
-        final, divergent, kept = unfair_map_batch(unfair_sim_model, metric, cfg, x, y, keep_steps=keep)
+        final, divergent, states = recorded(unfair_map_batch, unfair_sim_model, metric, cfg, x, y)
+        kept = states[keep]
         assert divergent == [] and kept.shape == (len(keep), *x.shape)
         assert_array_equal(kept[0], x)
         assert_array_equal(kept[-1], final)
@@ -371,20 +382,14 @@ class TestKeepSteps:
             ref, _ = unfair_map_batch(unfair_sim_model, metric, shorter, x, y)
             assert_array_equal(xk, ref)
 
-    @pytest.mark.parametrize("keep", [[-1], [11], [5, 2]])
-    def test_invalid_keep_steps(self, keep):
-        m = LogisticModel(weights=np.array([1.0]), bias=0.0)
-        cfg = AttackConfig(lam=1.0, num_steps=10)
-        with pytest.raises(ValueError, match="keep_steps"):
-            unfair_map_batch(m, FairMetric(sigma=np.eye(1)), cfg, np.zeros((2, 1)), np.ones(2), keep_steps=keep)
-
     def test_frozen_rows_are_kept_after_every_row_diverged(self):
         stub = SplitFieldStub(k=100.0)
         cfg = AttackConfig(lam=0.01, num_steps=400, schedule="constant", eta=0.05)
         x0 = np.array([[1.0], [2.0]])
-        final, divergent, kept = unfair_map_batch(
-            stub, FairMetric(sigma=np.eye(1)), cfg, x0, np.zeros(2), skip_divergent=True, keep_steps=[0, 200, 400]
+        final, divergent, states = recorded(
+            unfair_map_batch, stub, FairMetric(sigma=np.eye(1)), cfg, x0, np.zeros(2), skip_divergent=True
         )
+        kept = states[[0, 200, 400]]
         assert divergent == [0, 1]
         # each row stays at its last iterate within the divergence radius
         for row, start in enumerate(x0[:, 0]):
@@ -431,23 +436,24 @@ def _kernel_models():
 KERNEL_MODELS = _kernel_models()
 
 
-def reference_euler(model, metric, cfg, x0, y, keep_steps=()):
+def reference_euler(model, metric, cfg, x0, y, on_step=None):
     """The attack as a plain loop with no buffers: ``x = x + eta * g(x)``, frozen rows kept.
 
-    Returns ``(x_final, divergent, kept)`` like ``unfair_map_batch`` with
-    ``skip_divergent=True``.
+    Returns ``(x_final, divergent)`` and calls ``on_step`` like
+    ``unfair_map_batch`` with ``skip_divergent=True``.
     """
     x = x0.copy()
     dead = np.zeros(x0.shape[0], dtype=bool)
-    iterates = [x]
+    observe = on_step or (lambda k, x: None)
+    observe(0, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for eta in cfg.step_sizes():
+        for k, eta in enumerate(cfg.step_sizes(), start=1):
             x_new = x + eta * flow_field(model, metric, cfg.lam, x, x0, y)
             moved = x_new - x0
             dead |= ~(np.sum(moved * moved, axis=1) <= DIVERGENCE_RADIUS**2)
             x = np.where(dead[:, None], x, x_new)
-            iterates.append(x)
-    return x, np.flatnonzero(dead).tolist(), np.array([iterates[k] for k in keep_steps])
+            observe(k, x)
+    return x, np.flatnonzero(dead).tolist()
 
 
 class TestWorkspaceKernel:
@@ -467,7 +473,7 @@ class TestWorkspaceKernel:
         x0 = rng.normal(size=(24, 5))
         y = (rng.random(24) < 0.5).astype(float)
         out, divergent = unfair_map_batch(model, self.METRIC, cfg, x0, y)
-        ref, ref_divergent, _ = reference_euler(model, self.METRIC, cfg, x0, y)
+        ref, ref_divergent = reference_euler(model, self.METRIC, cfg, x0, y)
         assert divergent == ref_divergent == []
         assert_array_equal(out, ref)
 
@@ -478,10 +484,10 @@ class TestWorkspaceKernel:
         y = (rng.random(24) < 0.5).astype(float)
         cfg = AttackConfig(lam=2.0, num_steps=30, eta=0.03)
         keep = [0, 1, 7, 7, 29, 30]
-        out, _, kept = unfair_map_batch(model, self.METRIC, cfg, x0, y, keep_steps=keep)
-        ref, _, ref_kept = reference_euler(model, self.METRIC, cfg, x0, y, keep_steps=keep)
+        out, _, states = recorded(unfair_map_batch, model, self.METRIC, cfg, x0, y)
+        ref, _, ref_states = recorded(reference_euler, model, self.METRIC, cfg, x0, y)
         assert_array_equal(out, ref)
-        assert_array_equal(kept, ref_kept)
+        assert_array_equal(states[keep], ref_states[keep])
 
     def test_frozen_row_matches_plain_loop_bitwise(self):
         # row 1 starts right of the origin and blows up; the others contract
@@ -491,12 +497,32 @@ class TestWorkspaceKernel:
         x0 = np.array([[-1.0], [1.5], [-0.25], [-3.0]])
         y = np.zeros(4)
         keep = [0, 100, 400]
-        out, divergent, kept = unfair_map_batch(stub, metric, cfg, x0, y, skip_divergent=True, keep_steps=keep)
-        ref, ref_divergent, ref_kept = reference_euler(stub, metric, cfg, x0, y, keep_steps=keep)
+        out, divergent, states = recorded(unfair_map_batch, stub, metric, cfg, x0, y, skip_divergent=True)
+        ref, ref_divergent, ref_states = recorded(reference_euler, stub, metric, cfg, x0, y)
         assert divergent == ref_divergent == [1]
         assert_array_equal(out, ref)
-        assert_array_equal(kept, ref_kept)
+        assert_array_equal(states[keep], ref_states[keep])
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize(
+        "starts, diverged", [([-1.0, 1.5, -0.25], [1]), ([1.0, 2.0], [0, 1])], ids=["one-row", "every-row"]
+    )
+    def test_on_step_sees_every_step_once_in_order(self, starts, diverged):
+        # SplitFieldStub rows right of the origin leave the radius within a few of the 400 steps
+        stub = SplitFieldStub(k=100.0)
+        metric = FairMetric(sigma=np.eye(1))
+        cfg = AttackConfig(lam=0.01, num_steps=400, schedule="constant", eta=0.05)
+        x0 = np.array(starts)[:, None]
+        y = np.zeros(len(starts))
+        seen = []
+        out, divergent = unfair_map_batch(
+            stub, metric, cfg, x0, y, skip_divergent=True, on_step=lambda k, x: seen.append((k, x.copy()))
+        )
+        ref, ref_divergent, ref_states = recorded(reference_euler, stub, metric, cfg, x0, y)
+        assert divergent == ref_divergent == diverged
+        assert [k for k, _ in seen] == list(range(cfg.num_steps + 1))
+        assert_array_equal(np.array([x for _, x in seen]), ref_states)
+        assert_array_equal(out, ref)
 
     def test_caller_arrays_are_not_written(self):
         model = KERNEL_MODELS["logistic"]
@@ -650,11 +676,8 @@ class TestDivergencePreCheck:
 
         x0 = np.random.default_rng(12).normal(size=(5, self.DIM))
         y = np.zeros(5)
-        every_step = range(self.CFG.num_steps + 1)
-        out, divergent, kept = unfair_map_batch(
-            stub(), self.METRIC, self.CFG, x0, y, skip_divergent=True, keep_steps=every_step
-        )
-        ref, ref_divergent, ref_kept = reference_euler(stub(), self.METRIC, self.CFG, x0, y, keep_steps=every_step)
+        out, divergent, kept = recorded(unfair_map_batch, stub(), self.METRIC, self.CFG, x0, y, skip_divergent=True)
+        ref, ref_divergent, ref_kept = recorded(reference_euler, stub(), self.METRIC, self.CFG, x0, y)
         assert divergent == ref_divergent == [1, 3]
         assert_array_equal(out, ref)
         assert_array_equal(kept, ref_kept)
