@@ -28,7 +28,7 @@ import numpy as np
 from . import inference, sim
 # bench/traced_cli.py patches the ``unfair_map`` binding of this module
 from .attack import AttackConfig, DivergenceError, unfair_map  # noqa: F401
-from .dataset import _read_json_object, atomic_write_text, load_csv, save_csv, split_csv
+from .dataset import _expect, _read_json_object, atomic_write_text, load_csv, save_csv, split_csv
 from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
 from .inference import NoBaselineErrors
 from .models import TrainConfig, load_model, save_model, train
@@ -40,12 +40,10 @@ EXIT_ERROR = 10
 
 @dataclass(frozen=True)
 class _Key:
-    """One config key: its JSON type and its default.
+    """One config key: its JSON type (a ``dataset._convert`` kind) and its default.
 
-    ``kind`` is ``bool``, ``int``, ``float`` or ``str``, or ``[kind]`` for a
-    JSON array of such values (parsed to a tuple).  ``null`` is accepted only
-    for optional keys whose default is ``None``.  Defaults are written as JSON
-    values and converted like given ones.
+    ``null`` is accepted only for optional keys whose default is ``None``.
+    Defaults are written as JSON values and converted like given ones.
     """
 
     kind: type | list
@@ -177,33 +175,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     },
 }
 
-_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
-
-
-def _describe(kind) -> str:
-    return f"a JSON array, each item {_describe(kind[0])}" if isinstance(kind, list) else _KIND_NAMES[kind]
-
-
-def _convert(kind, value):
-    """``value`` as ``kind`` (see ``_Key``), or ValueError if it is not one.
-
-    Numbers are never booleans or strings; an integral float such as 5.0
-    is accepted as an integer.
-    """
-    if isinstance(kind, list):
-        if isinstance(value, list):
-            return tuple(_convert(kind[0], v) for v in value)
-    elif kind is bool or kind is str:
-        if isinstance(value, kind):
-            return value
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        if kind is int and float(value).is_integer():
-            return int(value)
-        if kind is float and math.isfinite(value):
-            return float(value)
-    raise ValueError(value)
-
-
 def _parse_config(path, command: str) -> dict:
     doc = _read_json_object(path, f"{command} config")
     schema = _SCHEMAS[command]
@@ -219,14 +190,7 @@ def _parse_config(path, command: str) -> dict:
         else:
             value = spec.default
         nullable = spec.default is None and not spec.required
-        if value is None and nullable:
-            out[key] = None
-            continue
-        try:
-            out[key] = _convert(spec.kind, value)
-        except (ValueError, OverflowError):
-            expected = _describe(spec.kind) + (" or null" if nullable else "")
-            raise ValueError(f"{command}: config key {key!r} must be {expected}, got {value!r}") from None
+        out[key] = _expect(spec.kind, value, f"{command}: config key {key!r}", nullable)
     if "alpha" in out:
         inference.check_levels(out["alpha"], out.get("delta"))
     return out

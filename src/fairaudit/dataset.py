@@ -56,6 +56,53 @@ def _read_json_object(path, kind: str) -> dict:
     return doc
 
 
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _describe(kind) -> str:
+    return f"a JSON array, each item {_describe(kind[0])}" if isinstance(kind, list) else _KIND_NAMES[kind]
+
+
+def _convert(kind, value):
+    """``value`` as ``kind``, or ValueError if it is not one.
+
+    ``kind`` is ``bool``, ``int``, ``float`` or ``str``, or ``[kind]`` for a
+    JSON array of such values (converted to a tuple).  Numbers are never
+    booleans or strings; an integral float such as 5.0 is accepted as an
+    integer.
+    """
+    if isinstance(kind, list):
+        if isinstance(value, list):
+            return tuple(_convert(kind[0], v) for v in value)
+    elif kind is bool or kind is str:
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is int and float(value).is_integer():
+            return int(value)
+        if kind is float and math.isfinite(value):
+            return float(value)
+    raise ValueError(value)
+
+
+def _expect(kind, value, what: str, nullable: bool = False):
+    """``value`` converted by ``_convert`` (``None`` stays ``None`` if ``nullable``); else ValueError naming ``what``."""
+    if value is None and nullable:
+        return None
+    try:
+        return _convert(kind, value)
+    except (ValueError, OverflowError):
+        expected = _describe(kind) + (" or null" if nullable else "")
+        raise ValueError(f"{what} must be {expected}, got {value!r}") from None
+
+
+def _field(doc: dict, key: str, kind, owner: str):
+    """``doc[key]`` converted by ``_expect``; a missing key raises, naming it and ``owner``."""
+    if key not in doc:
+        raise ValueError(f"{owner} has no key {key!r}")
+    return _expect(kind, doc[key], f"{owner} key {key!r}")
+
+
 def _check_binary_column(values: np.ndarray, name: str) -> np.ndarray:
     if not np.all((values == 0.0) | (values == 1.0)):
         bad = values[(values != 0.0) & (values != 1.0)][0]

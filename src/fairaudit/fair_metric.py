@@ -22,10 +22,11 @@ from itertools import chain
 import numpy as np
 
 from . import models
-from .dataset import _read_json_object, atomic_write_text
+from .dataset import _field, _read_json_object, atomic_write_text
 from .linalg import DEFAULT_RANK_TOL, as_matrix, fields_equal, orthonormal_basis, projector_orthogonal_to
 
 SYMMETRY_TOL = 1e-10
+PSD_TOL = 1e-12  # relative to max(1, largest eigenvalue)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +43,9 @@ class FairMetric:
             raise ValueError("sigma must be square")
         if np.max(np.abs(s - s.T)) > SYMMETRY_TOL:
             raise ValueError("sigma must be symmetric")
+        evals = np.linalg.eigvalsh(s)
+        if evals[0] < -PSD_TOL * max(1.0, evals[-1]):
+            raise ValueError(f"sigma must be positive semidefinite, got smallest eigenvalue {float(evals[0])!r}")
         object.__setattr__(self, "sigma", s)
 
     @property
@@ -75,10 +79,8 @@ class FairMetric:
 
 
 def metric_from_dict(doc: dict) -> FairMetric:
-    try:
-        dim, sigma = doc["dim"], as_matrix(doc["sigma"], "sigma")
-    except KeyError as exc:
-        raise ValueError(f"metric has no key {exc}") from None
+    """Inverse of ``FairMetric.to_dict``; a missing key or a value of another JSON type raises, naming the key."""
+    dim, sigma = _field(doc, "dim", int, "metric"), as_matrix(_field(doc, "sigma", [[float]], "metric"), "sigma")
     if sigma.shape != (dim, dim):
         raise ValueError("metric dimension does not match sigma shape")
     return FairMetric(sigma=sigma)

@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import _read_json_object, atomic_write_text
+from .dataset import _expect, _field, _read_json_object, atomic_write_text
 from .linalg import as_matrix, as_vector, fields_equal
 
 # Probabilities are clamped to [P_FLOOR, 1 - P_FLOOR] inside the loss, which
@@ -234,25 +234,30 @@ class MlpModel:
         }
 
 
+_MODEL_KEYS = {
+    "logistic": {"weights": [float], "bias": float},
+    "mlp": {
+        "layer1_weights": [[float]],
+        "layer1_bias": [float],
+        "layer2_weights": [float],
+        "layer2_bias": float,
+        "activation": str,
+    },
+}
+
+
 def model_from_dict(doc: dict):
-    """Inverse of ``Model.to_dict``; the round trip is bit-identical.  A missing key raises, naming it."""
+    """Inverse of ``Model.to_dict``; the round trip is bit-identical.
+
+    Every key must hold its JSON type, and ``projector`` may also be null or
+    absent; a missing key or a value of another type raises, naming the key.
+    """
     arch = doc.get("architecture")
-    proj = doc.get("projector")
-    try:
-        if arch == "logistic":
-            return LogisticModel(weights=doc["weights"], bias=doc["bias"], projector=proj)
-        if arch == "mlp":
-            return MlpModel(
-                layer1_weights=doc["layer1_weights"],
-                layer1_bias=doc["layer1_bias"],
-                layer2_weights=doc["layer2_weights"],
-                layer2_bias=doc["layer2_bias"],
-                activation=doc["activation"],
-                projector=proj,
-            )
-    except KeyError as exc:
-        raise ValueError(f"{arch} model has no key {exc}") from None
-    raise ValueError(f"unknown architecture tag {arch!r}")
+    if arch not in ("logistic", "mlp"):
+        raise ValueError(f"unknown architecture tag {arch!r}")
+    params = {key: _field(doc, key, kind, f"{arch} model") for key, kind in _MODEL_KEYS[arch].items()}
+    projector = _expect([[float]], doc.get("projector"), f"{arch} model key 'projector'", nullable=True)
+    return (LogisticModel if arch == "logistic" else MlpModel)(**params, projector=projector)
 
 
 def save_model(model, path) -> None:

@@ -218,10 +218,15 @@ class TestAuditCommand:
             (
                 "model",
                 '{"architecture": "logistic", "weights": [1.0, NaN], "bias": 0.0, "projector": null}',
-                "weights contains non-finite entries",
+                "logistic model key 'weights' must be a JSON array, each item a finite number, got [1.0, nan]",
+            ),
+            (
+                "metric",
+                '{"dim": 2, "sigma": [[0.0, 0.0], [0.0, -0.02]]}',
+                "sigma must be positive semidefinite, got smallest eigenvalue -0.02",
             ),
         ],
-        ids=["model-not-an-object", "model-without-bias", "metric-not-an-object", "model-nan-weight"],
+        ids=["model-not-an-object", "model-without-bias", "metric-not-an-object", "model-nan-weight", "metric-not-psd"],
     )
     def test_bad_model_or_metric_file_exits_10(self, tmp_path, sim_csv, metric_file, capsys, which, text, message):
         path = tmp_path / f"bad-{which}.json"
@@ -482,6 +487,66 @@ class TestConfigTypes:
         model = unfair_model_file(tmp_path, sim_csv)
         cfg = audit_config(tmp_path, model, metric_file, sim_csv, num_steps=5.0, skip_divergent=False, error_rate=True)
         assert cli.main(["audit", "--config", cfg]) in (0, 3)
+
+
+class TestModelAndMetricFileTypes:
+    LOGISTIC = {"architecture": "logistic", "weights": [4.0, 0.0], "bias": 0.0, "projector": None}
+    MLP = {
+        "architecture": "mlp",
+        "activation": "tanh",
+        "layer1_weights": [[1.0, 0.5], [-0.5, 1.0]],
+        "layer1_bias": [0.0, 0.1],
+        "layer2_weights": [1.0, -1.0],
+        "layer2_bias": 0.2,
+        "projector": None,
+    }
+    METRIC = {"dim": 2, "sigma": [[0.0, 0.0], [0.0, 1.0]]}
+    FLOATS = "a JSON array, each item a finite number"
+    MATRIX = "a JSON array, each item a JSON array, each item a finite number"
+
+    @pytest.mark.parametrize(
+        "which, key, value, expected",
+        [
+            ("logistic", "weights", [True, False], FLOATS),
+            ("logistic", "weights", "4.0", FLOATS),
+            ("logistic", "bias", True, "a finite number"),
+            ("logistic", "bias", "0.5", "a finite number"),
+            ("logistic", "projector", [1.0, 0.0], MATRIX + " or null"),
+            ("mlp", "layer1_weights", [[1.0, "0.5"], [-0.5, 1.0]], MATRIX),
+            ("mlp", "layer1_bias", [0.0, None], FLOATS),
+            ("mlp", "layer2_weights", True, FLOATS),
+            ("mlp", "layer2_bias", [0.2], "a finite number"),
+            ("mlp", "activation", ["tanh"], "a string"),
+            ("mlp", "projector", True, MATRIX + " or null"),
+            ("metric", "dim", True, "an integer"),
+            ("metric", "dim", 2.5, "an integer"),
+            ("metric", "sigma", True, MATRIX),
+            ("metric", "sigma", [[0.0, False], [0.0, 1.0]], MATRIX),
+        ],
+    )
+    def test_field_of_wrong_type_exits_10_naming_it(self, tmp_path, capsys, which, key, value, expected):
+        # the files are read before the data, so the data file need not exist
+        model = self.MLP if which == "mlp" else self.LOGISTIC
+        docs = {"model": {**model}, "metric": {**self.METRIC}}
+        docs["metric" if which == "metric" else "model"][key] = value
+        paths = {name: write_config(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+        cfg = audit_config(tmp_path, paths["model"], paths["metric"], str(tmp_path / "absent.csv"))
+        assert cli.main(["audit", "--config", cfg]) == cli.EXIT_ERROR
+        owner = "metric" if which == "metric" else f"{which} model"
+        assert capsys.readouterr().err == f"fairaudit audit: error: {owner} key {key!r} must be {expected}, got {value!r}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integral_numbers_load_bitwise_as_floats(self):
+        from fairaudit.fair_metric import metric_from_dict
+        from fairaudit.models import model_from_dict
+
+        ints = {"architecture": "logistic", "weights": [4, 0], "bias": 0, "projector": [[1, 0], [0, 1]]}
+        floats = {"architecture": "logistic", "weights": [4.0, 0.0], "bias": 0.0, "projector": [[1.0, 0.0], [0.0, 1.0]]}
+        assert model_from_dict(ints) == model_from_dict(floats)
+        assert type(model_from_dict(ints).bias) is float
+        assert metric_from_dict({"dim": 2.0, "sigma": [[0, 0], [0, 1]]}) == metric_from_dict(self.METRIC)
+        mlp = model_from_dict(self.MLP)
+        assert model_from_dict(json.loads(json.dumps(mlp.to_dict()))) == mlp
 
 
 class TestBatchedTrace:

@@ -215,6 +215,34 @@ def test_metric_dict_dimension_check():
         metric_from_dict({"dim": 3, "sigma": [[1.0, 0.0], [0.0, 1.0]]})
 
 
+class TestPositiveSemidefinite:
+    @pytest.mark.parametrize(
+        "sigma, smallest",
+        [(np.diag([0.0, -0.02]), -0.02), (np.diag([1.0, -2e-12]), -2e-12), (np.diag([1e6, -2e-6]), -2e-6)],
+        ids=["audit-probe", "unit-scale", "large-scale"],
+    )
+    def test_negative_eigenvalue_rejected_naming_it(self, sigma, smallest):
+        with pytest.raises(ValueError, match=f"^sigma must be positive semidefinite, got smallest eigenvalue {smallest!r}$"):
+            FairMetric(sigma=sigma)
+
+    def test_roundoff_below_the_relative_tolerance_accepted(self):
+        FairMetric(sigma=np.diag([1.0, -5e-13]))
+        FairMetric(sigma=np.diag([1e6, -5e-7]))
+
+    def test_rotated_perturbed_and_projector_metrics_load(self):
+        from fairaudit import sim
+        from fairaudit.linalg import orthonormal_basis, projector_orthogonal_to
+
+        rng = np.random.default_rng(5)
+        for beta in np.linspace(0.0, math.pi, 13):
+            rotated = rotated_coordinate_metric(beta)
+            for scale in (1e-1, 1e-3, 1e-6):
+                FairMetric(sigma=sim.floor_psd(rotated.sigma + scale * sim.perturbation_direction(2, seed=int(beta * 10))))
+        for dim in (3, 8, 40):
+            basis = orthonormal_basis(list(rng.normal(size=(2, dim))))
+            FairMetric(sigma=projector_orthogonal_to(basis, dim))
+
+
 class TestMetricEquality:
     def test_equal_when_sigma_is(self):
         m = rotated_coordinate_metric(math.radians(7.0))
