@@ -228,6 +228,12 @@ class TestPositiveSemidefinite:
     def test_roundoff_below_the_relative_tolerance_accepted(self):
         FairMetric(sigma=np.diag([1.0, -5e-13]))
         FairMetric(sigma=np.diag([1e6, -5e-7]))
+        # largest diagonal entry 5e5 under the largest eigenvalue 1e6: the quick Cholesky test fails, and
+        # the eigenvalues decide, against the tolerance 1e-6
+        v, u = np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([1.0, -1.0]) / math.sqrt(2.0)
+        FairMetric(sigma=1e6 * np.outer(v, v) - 7e-7 * np.outer(u, u))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            FairMetric(sigma=1e6 * np.outer(v, v) - 2e-6 * np.outer(u, u))
 
     def test_rotated_perturbed_and_projector_metrics_load(self):
         from fairaudit import sim
