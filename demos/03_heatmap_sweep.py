@@ -15,7 +15,8 @@ from pathlib import Path
 
 from fairaudit import sim_preset
 from fairaudit.fair_metric import rotated_coordinate_metric
-from fairaudit.sim import GridSpec, SimConfig, generate, heatmap_csv, sweep_heatmap
+from fairaudit.dataset import write_csv
+from fairaudit.sim import GridSpec, HeatmapCell, SimConfig, generate, sweep_heatmap
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--full", action="store_true", help="run the full 21x21 grid")
@@ -34,7 +35,7 @@ cells = sweep_heatmap(ds.features, ds.labels, grid, metric, sim_preset(), alpha=
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
 target = out / ("heatmap_full.csv" if args.full else "heatmap_coarse.csv")
-target.write_text(heatmap_csv(cells))
+write_csv(target, HeatmapCell._fields, cells)
 print(f"{len(cells)} cells -> {target}")
 
 print()

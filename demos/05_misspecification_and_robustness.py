@@ -23,7 +23,8 @@ from fairaudit import AttackConfig, LogisticModel, sim_preset
 from fairaudit.fair_metric import rotated_coordinate_metric
 from fairaudit.inference import loss_ratio_test
 from fairaudit.attack import unfair_map_batch
-from fairaudit.sim import SimConfig, fit_bias, generate, robustness_csv, robustness_experiment
+from fairaudit.dataset import write_csv
+from fairaudit.sim import SimConfig, fit_bias, generate, robustness_experiment
 
 ds = generate(SimConfig(seed=7))
 x, y = ds.features, ds.labels
@@ -54,7 +55,7 @@ for s, gap in rows:
     print(f"perturbation scale {s:8.0e} -> max per-sample ratio gap {gap:.3e}")
 out = Path(__file__).parent / "out"
 out.mkdir(exist_ok=True)
-(out / "robustness_ladder.csv").write_text(robustness_csv(rows))
+write_csv(out / "robustness_ladder.csv", ["scale", "max_ratio_gap"], rows)
 print(f"ladder written to {out / 'robustness_ladder.csv'}")
 print("the gap vanishes with the perturbation: small metric estimation error")
 print("cannot flip the audit value by more than an explicit amount.")

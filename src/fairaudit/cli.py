@@ -28,7 +28,7 @@ import numpy as np
 from . import inference, sim
 # bench/traced_cli.py patches the ``unfair_map`` binding of this module
 from .attack import AttackConfig, DivergenceError, unfair_map  # noqa: F401
-from .dataset import _expect, _read_json_object, atomic_write_text, load_csv, save_csv, split_csv
+from .dataset import _expect, _read_json_object, atomic_write_text, load_csv, save_csv, split_csv, write_csv
 from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
 from .inference import NoBaselineErrors
 from .models import TrainConfig, load_model, save_model, train
@@ -295,7 +295,8 @@ def run_audit(cfg: dict) -> int:
     )
     atomic_write_text(cfg["report_output"], report.to_json(extra={"config": cfg}))
     if cfg["samples_output"] is not None:
-        atomic_write_text(cfg["samples_output"], report.samples_csv())
+        rows = list(zip(report.index, report.ratios, report.pre01, report.post01))
+        write_csv(cfg["samples_output"], ["index", "ratio", "pre01", "post01"], rows)
     if report.trace is not None:
         atomic_write_text(cfg["trace_output"], _TraceJsonl(report.index, report.trace))
     verdict = "reject" if report.reject else "fail to reject"
@@ -322,7 +323,7 @@ def run_sweep(cfg: dict) -> int:
     cells = sim.sweep_heatmap(
         ds.features, ds.labels, grid, metric, _build(AttackConfig, cfg), alpha=cfg["alpha"], delta=cfg["delta"]
     )
-    atomic_write_text(cfg["output"], sim.heatmap_csv(cells))
+    write_csv(cfg["output"], sim.HeatmapCell._fields, cells)
     n_reject = sum(c.reject for c in cells)
     print(f"sweep: {len(cells)} cells ({n_reject} rejected) -> {cfg['output']}")
     return EXIT_OK
@@ -342,7 +343,7 @@ def run_stopping_sweep(cfg: dict) -> int:
         eta=cfg["eta"],
         alpha=cfg["alpha"],
     )
-    atomic_write_text(cfg["output"], sim.stopping_csv(rows))
+    write_csv(cfg["output"], ["horizon", "t_n"], rows)
     print(f"stopping-sweep: {len(rows)} horizons -> {cfg['output']}")
     return EXIT_OK
 
@@ -360,7 +361,7 @@ def run_robustness(cfg: dict) -> int:
         _build(AttackConfig, cfg),
         perturb_seed=cfg["perturb_seed"],
     )
-    atomic_write_text(cfg["output"], sim.robustness_csv(rows))
+    write_csv(cfg["output"], ["scale", "max_ratio_gap"], rows)
     print(f"robustness: {len(rows)} scales -> {cfg['output']}")
     return EXIT_OK
 
@@ -392,7 +393,7 @@ def run_calibrate(cfg: dict) -> int:
         seed=seed + 2,
         name="power",
     )
-    atomic_write_text(cfg["output"], sim.calibration_csv([coverage, type1, power]))
+    write_csv(cfg["output"], sim.CalibrationResult._fields, [coverage, type1, power])
     print(
         f"calibrate: coverage={coverage.rate:.3f} type1={type1.rate:.3f} power={power.rate:.3f} -> {cfg['output']}"
     )

@@ -47,6 +47,40 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
+def _csv_cell(value) -> str:
+    """How every CSV artifact spells a cell: a string as it is, a float (``np.float64``
+    included) as its ``repr``, anything else (bools, numpy ints and bools) as an integer."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(int(value))
+
+
+class _Lines:
+    """The lines of a CSV file, each with its newline: the header, then one per row.
+
+    Lines are formatted while the file is written, so no joined copy of the
+    file is built; ``len`` is the number of lines, header included.
+    """
+
+    def __init__(self, header, rows):
+        self.header, self.rows = header, rows
+
+    def __len__(self) -> int:
+        return 1 + len(self.rows)
+
+    def __iter__(self):
+        yield ",".join(self.header) + "\n"
+        for row in self.rows:
+            yield ",".join(map(_csv_cell, row)) + "\n"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the column names ``header`` and the sized sequence of tuples ``rows`` to ``path`` atomically."""
+    atomic_write_text(path, _Lines(header, rows))
+
+
 def _read_json_object(path, kind: str) -> dict:
     """The JSON object in the file at ``path``; any other document raises, naming the file."""
     with open(path, encoding="utf-8") as fh:
@@ -236,41 +270,10 @@ def load_csv(path, label_column: str, protected_columns=(), standardize: bool = 
     )
 
 
-def dataset_to_csv(ds: Dataset) -> str:
-    """Render a dataset back to CSV text (features, label, protected columns)."""
-    header = [*ds.feature_names, ds.label_name, *ds.protected.keys()]
-    lines = [",".join(header)]
-    for i in range(ds.n):
-        cells = [repr(float(v)) for v in ds.features[i]]
-        cells.append(str(int(ds.labels[i])))
-        cells.extend(str(int(col[i])) for col in ds.protected.values())
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def save_csv(ds: Dataset, path) -> None:
-    atomic_write_text(path, dataset_to_csv(ds))
-
-
-class _Lines:
-    """A header and the rows ``body[i]`` for ``i`` in ``order``, written one line at a time.
-
-    Iterating yields each line with its newline, so no joined copy of the
-    file is built; ``len`` is the number of lines, header included.
-    """
-
-    def __init__(self, header: str, body: list[str], order):
-        self.header = header
-        self.body = body
-        self.order = order
-
-    def __len__(self) -> int:
-        return 1 + len(self.order)
-
-    def __iter__(self):
-        yield self.header + "\n"
-        for i in self.order:
-            yield self.body[i] + "\n"
+    """Write a dataset as CSV: features, then the label, then the protected columns."""
+    columns = [*ds.features.T.tolist(), ds.labels.tolist(), *(col.tolist() for col in ds.protected.values())]
+    write_csv(path, [*ds.feature_names, ds.label_name, *ds.protected], list(zip(*columns)))
 
 
 def split_csv(path, train_path, audit_path, train_fraction: float, seed: int) -> tuple[int, int]:
@@ -292,6 +295,6 @@ def split_csv(path, train_path, audit_path, train_fraction: float, seed: int) ->
     order = np.random.default_rng(seed).permutation(len(body))
     n_train = int(round(train_fraction * len(body)))
     n_train = min(max(n_train, 1), len(body) - 1)
-    atomic_write_text(train_path, _Lines(header, body, order[:n_train]))
-    atomic_write_text(audit_path, _Lines(header, body, order[n_train:]))
+    write_csv(train_path, [header], [(body[i],) for i in order[:n_train]])
+    write_csv(audit_path, [header], [(body[i],) for i in order[n_train:]])
     return n_train, len(body) - n_train

@@ -233,14 +233,6 @@ class AuditReport:
             doc.update(extra)
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def samples_csv(self) -> str:
-        lines = ["index,ratio,pre01,post01"]
-        for i in range(self.n):
-            lines.append(
-                f"{int(self.index[i])},{float(self.ratios[i])!r},{int(self.pre01[i])},{int(self.post01[i])}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _predictions(model, x) -> np.ndarray:
     # threshold at 0.5 with ties predicting class 1

@@ -172,8 +172,7 @@ class GridSpec:
         return cls(w1_values=vals, w2_values=vals)
 
 
-@dataclass(frozen=True)
-class HeatmapCell:
+class HeatmapCell(NamedTuple):
     theta1: float
     theta2: float
     fitted_bias: float
@@ -264,15 +263,6 @@ def sweep_heatmap(
     ]
 
 
-def heatmap_csv(cells) -> str:
-    lines = ["theta1,theta2,fitted_bias,t_n,reject,divergent"]
-    for c in cells:
-        lines.append(
-            f"{float(c.theta1)!r},{float(c.theta2)!r},{float(c.fitted_bias)!r},{float(c.t_n)!r},{int(c.reject)},{int(c.divergent)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def stopping_time_sweep(
     model,
     metric: FairMetric,
@@ -309,13 +299,6 @@ def stopping_time_sweep(
     unfair_map_batch(model, metric, cfgs[-1], x, y, on_step=at_horizons)
     t_n = inference.one_sided_lower_bound(ratios, alpha)
     return [(c.horizon, t) for c, t in zip(cfgs, t_n.tolist())]
-
-
-def stopping_csv(rows) -> str:
-    lines = ["horizon,t_n"]
-    for h, t in rows:
-        lines.append(f"{float(h)!r},{float(t)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def floor_psd(sigma: np.ndarray) -> np.ndarray:
@@ -369,13 +352,6 @@ def robustness_experiment(
             other = model.loss(attacked2, y) / clean
         out.append((s, float(np.max(np.abs(base - other)))))
     return out
-
-
-def robustness_csv(rows) -> str:
-    lines = ["scale,max_ratio_gap"]
-    for s, gap in rows:
-        lines.append(f"{float(s)!r},{float(gap)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def robustness_gap_bound(
@@ -491,10 +467,3 @@ def rejection_rate_experiment(
         _, reject = inference.loss_ratio_test(pop.sample(rng, n), alpha, delta)
         rejections += int(reject)
     return CalibrationResult(name, n, replicates, rejections / replicates)
-
-
-def calibration_csv(rows) -> str:
-    lines = ["experiment,n,replicates,rate"]
-    for r in rows:
-        lines.append(f"{r.experiment},{r.n},{r.replicates},{float(r.rate)!r}")
-    return "\n".join(lines) + "\n"

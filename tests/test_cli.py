@@ -1,9 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fairaudit import cli, sim
+from fairaudit import cli, inference, sim
+from fairaudit.dataset import Dataset
 from fairaudit.fair_metric import load_metric
 from fairaudit.models import LogisticModel, load_model, save_model
 
@@ -549,6 +551,86 @@ class TestModelAndMetricFileTypes:
         assert model_from_dict(json.loads(json.dumps(mlp.to_dict()))) == mlp
 
 
+NAN = float("nan")
+# what each command computes, replaced by fixed values so each CSV file pins only how cells are spelled
+FIXED_RESULTS = {
+    "simulate": (sim, {"generate": lambda cfg: Dataset(
+        feature_names=("x1", "x2"), features=[[0.1, -2.5], [1e-17, 3.0]], labels=[1, 0], protected={"group": [0, 1]}
+    )}),
+    "sweep": (sim, {"sweep_heatmap": lambda *a, **k: [
+        sim.HeatmapCell(0.1, -4.0, 1e-17, NAN, False, True),
+        sim.HeatmapCell(0.0, 0.4, -50.0, 1.2345678901234567, np.bool_(True), np.bool_(False)),
+    ]}),
+    "stopping-sweep": (sim, {"stopping_time_sweep": lambda *a, **k: [(0.0, 1.0), (0.1, np.float64(1e-17)), (2.0, NAN)]}),
+    "robustness": (sim, {"robustness_experiment": lambda *a, **k: [(0.5, np.float64(0.1)), (0.1, 1e-17), (0.0, 0.0)]}),
+    "calibrate": (sim, {
+        "coverage_experiment": lambda *a, **k: (sim.CalibrationResult("coverage", 500, 1000, 0.95), 2.0),
+        "rejection_rate_experiment": lambda *a, name, **k: {
+            "type1": sim.CalibrationResult("type1", np.int64(20), np.int64(3), 1 / 3),
+            "power": sim.CalibrationResult("power", 20, 3, 1.0),
+        }[name],
+    }),
+    "audit": (inference, {"audit": lambda *a, **k: SimpleNamespace(
+        index=np.array([0, 3, 7]), ratios=np.array([1.0, 0.1, 1e-17]), pre01=np.array([0, 1, 1]),
+        post01=np.array([1, 1, 0]), trace=None, reject=False, n=3, s_n=1.0, t_n=NAN, delta=1.25,
+        to_json=lambda extra: "{}\n",
+    )}),
+}
+
+
+DATA_KEYS = ["data", "label_column", "protected_columns"]
+FILE_KEYS = ["model", "metric", *DATA_KEYS]
+
+
+class TestCsvArtifacts:
+    """The exact bytes of every CSV a command writes: strings as they are, floats
+    (NaN and ``np.float64`` included) as ``repr``, bools and integers as integers."""
+
+    @pytest.mark.parametrize(
+        "command, keys, expected",
+        [
+            ("simulate", ["data_output"], "x1,x2,label,group\n0.1,-2.5,1,0\n1e-17,3.0,0,1\n"),
+            (
+                "sweep",
+                [*DATA_KEYS, "output"],
+                "theta1,theta2,fitted_bias,t_n,reject,divergent\n0.1,-4.0,1e-17,nan,0,1\n0.0,0.4,-50.0,1.2345678901234567,1,0\n",
+            ),
+            ("stopping-sweep", [*FILE_KEYS, "horizons", "output"], "horizon,t_n\n0.0,1.0\n0.1,1e-17\n2.0,nan\n"),
+            ("robustness", [*FILE_KEYS, "scales", "output"], "scale,max_ratio_gap\n0.5,0.1\n0.1,1e-17\n0.0,0.0\n"),
+            (
+                "calibrate",
+                ["output"],
+                "experiment,n,replicates,rate\ncoverage,500,1000,0.95\ntype1,20,3,0.3333333333333333\npower,20,3,1.0\n",
+            ),
+            (
+                "audit",
+                [*FILE_KEYS, "report_output", "samples_output"],
+                "index,ratio,pre01,post01\n0,1.0,0,1\n3,0.1,1,1\n7,1e-17,1,0\n",
+            ),
+        ],
+        ids=["simulate", "sweep", "stopping-sweep", "robustness", "calibrate", "audit"],
+    )
+    def test_bytes(self, tmp_path, sim_csv, metric_file, monkeypatch, command, keys, expected):
+        out = str(tmp_path / "out.csv")
+        values = {
+            "model": write_config(tmp_path, "model.json", TestModelAndMetricFileTypes.LOGISTIC),
+            "metric": metric_file,
+            "data": sim_csv,
+            "label_column": "label",
+            "protected_columns": ["group"],
+            "horizons": [1.0],
+            "scales": [0.5],
+            "report_output": str(tmp_path / "report.json"),
+            **dict.fromkeys(["data_output", "output", "samples_output"], out),
+        }
+        module, fixed = FIXED_RESULTS[command]
+        for name, fake in fixed.items():
+            monkeypatch.setattr(module, name, fake)
+        cfg = write_config(tmp_path, "cfg.json", {key: values[key] for key in keys})
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_OK
+        assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
 class TestBatchedTrace:
     def test_traced_audit_attacks_once(self, tmp_path, sim_csv, metric_file, monkeypatch):
         from fairaudit import attack, inference
@@ -565,7 +647,7 @@ class TestBatchedTrace:
         assert calls == [(200, 2)]
         assert len((tmp_path / "t.jsonl").read_text().splitlines()) == 200 * 21
 
-    def test_matches_per_sample_traces_and_samples_csv(self, tmp_path, sim_csv, metric_file):
+    def test_matches_per_sample_traces_and_samples_file(self, tmp_path, sim_csv, metric_file):
         from fairaudit.attack import sim_preset, unfair_map_batch
         from fairaudit.dataset import load_csv
         from test_attack import trace_of_one

@@ -365,7 +365,6 @@ class TestAudit:
         assert r1 != dataclasses.replace(r2, trace=bumped)
         assert r1.to_json() == plain.to_json()
         assert r1.to_json(extra={"config": {"k": 1}}) == plain.to_json(extra={"config": {"k": 1}})
-        assert r1.samples_csv() == plain.samples_csv()
         with pytest.raises(TypeError):
             hash(r1)
 
@@ -400,13 +399,6 @@ class TestAudit:
         assert_array_equal(trace.penalties[0], np.zeros(7))
         assert_array_equal(trace.step_sizes, cfg.step_sizes())
 
-    def test_samples_csv_layout(self, sim_dataset):
-        report = self.constant_model_report(sim_dataset)
-        lines = report.samples_csv().strip().split("\n")
-        assert lines[0] == "index,ratio,pre01,post01"
-        assert len(lines) == report.n + 1
-        first = lines[1].split(",")
-        assert first[0] == "0" and float(first[1]) == 1.0
 
 
 class TestAuditCalibration:

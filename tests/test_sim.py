@@ -5,8 +5,16 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from fairaudit import attack, sim
+from fairaudit.dataset import write_csv
 from fairaudit.fair_metric import FairMetric
 from fairaudit.models import LogisticModel, expit, logit
+
+
+def csv_text(tmp_path, header, rows) -> str:
+    """The text ``write_csv`` writes for ``header`` and ``rows``."""
+    path = tmp_path / "out.csv"
+    write_csv(path, header, rows)
+    return path.read_text()
 
 
 class TestGenerate:
@@ -187,11 +195,10 @@ class TestSweep:
             if c.divergent:
                 assert math.isnan(c.t_n) and c.reject is False
 
-    def test_csv_layout(self, sim_dataset, true_metric):
+    def test_csv_layout(self, sim_dataset, true_metric, tmp_path):
         grid = sim.GridSpec(w1_values=(0.0,), w2_values=(0.0, 1.0))
         cells = sim.sweep_heatmap(sim_dataset.features, sim_dataset.labels, grid, true_metric, attack.sim_preset())
-        text = sim.heatmap_csv(cells)
-        lines = text.strip().split("\n")
+        lines = csv_text(tmp_path, sim.HeatmapCell._fields, cells).strip().split("\n")
         assert lines[0] == "theta1,theta2,fitted_bias,t_n,reject,divergent"
         assert len(lines) == 3
 
@@ -378,12 +385,6 @@ class TestCalibrationHelpers:
         with pytest.raises(ValueError, match="power replicates must be at least 1"):
             sim.rejection_rate_experiment(pop, 1.25, n=20, replicates=replicates, name="power")
 
-    def test_calibration_csv_layout(self):
-        rows = [sim.CalibrationResult("coverage", 500, 1000, 0.95)]
-        text = sim.calibration_csv(rows)
-        assert text.startswith("experiment,n,replicates,rate\n")
-        assert "coverage,500,1000,0.95" in text
-
 
 def per_cell_sweep_reference(features, labels, grid, metric, cfg, alpha=0.05, delta=1.25):
     """The sweep one cell at a time, each through its own LogisticModel attack."""
@@ -469,12 +470,12 @@ class TestColumnwiseStackedLogistic:
         [attack.sim_preset(), attack.AttackConfig(lam=100.0, num_steps=200, schedule="constant", eta=0.05)],
         ids=["sim-preset", "unstable-step"],
     )
-    def test_heatmap_bytes_match_einsum_formulas(self, sim_dataset, true_metric, cfg, monkeypatch):
+    def test_heatmap_bytes_match_einsum_formulas(self, sim_dataset, true_metric, cfg, monkeypatch, tmp_path):
         x, y = sim_dataset.features, sim_dataset.labels
         grid = TestStackedSweep.GRID
-        got = sim.heatmap_csv(sim.sweep_heatmap(x, y, grid, true_metric, cfg))
+        got = csv_text(tmp_path, sim.HeatmapCell._fields, sim.sweep_heatmap(x, y, grid, true_metric, cfg))
         monkeypatch.setattr(sim, "StackedLogistic", EinsumStackedLogistic)
-        want = sim.heatmap_csv(sim.sweep_heatmap(x, y, grid, true_metric, cfg))
+        want = csv_text(tmp_path, sim.HeatmapCell._fields, sim.sweep_heatmap(x, y, grid, true_metric, cfg))
         assert got == want
         if cfg.schedule == "constant":
             assert ",1\n" in got  # divergent cells are part of the comparison
@@ -506,7 +507,6 @@ class TestSinglePassStoppingSweep:
             ratios = unfair_sim_model.loss(attacked, y) / unfair_sim_model.loss(x, y)
             want.append((cfg.horizon, inference.one_sided_lower_bound(ratios, 0.05)))
         assert rows == want
-        assert sim.stopping_csv(rows) == sim.stopping_csv(want)
         assert all(type(t) is float for _, t in rows)
 
 
