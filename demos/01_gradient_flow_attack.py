@@ -53,7 +53,7 @@ print("min per-step objective change: %.2e (never below -1e-9)" % steps.min())
 # h m sqrt(d) / (2L) (e^{LT} - 1).
 problem = LinearFlowProblem(a=np.array([[-1.0]]), c=np.zeros(1), x0=np.ones(1))
 probe = StabilityProbe(lipschitz_L=1.0, curvature_m=1.0, dim_d=1, max_step_h=0.1)
-gap = stability_gap(probe, problem, np.full(10, 0.1))
+gap = stability_gap(probe, problem, AttackConfig(lam=1.0, num_steps=10, eta=0.1))
 print()
 print("decay flow x' = -x over T=1 at h=0.1:")
 print("  exact end point  : %.6f" % math.exp(-1.0))
@@ -61,6 +61,7 @@ print("  Euler end point  : %.6f" % 0.9**10)
 print("  max iterate gap  : %.6f" % gap)
 print("  stability bound  : %.6f" % probe.bound(1.0, 0.1))
 for h in (0.1, 0.05, 0.025):
-    g = stability_gap(StabilityProbe(1.0, 1.0, 1, h), problem, np.full(int(round(1 / h)), h))
+    euler = AttackConfig(lam=1.0, num_steps=int(round(1 / h)), eta=h)
+    g = stability_gap(StabilityProbe(1.0, 1.0, 1, h), problem, euler)
     print("  h=%.3f -> gap %.6f" % (h, g))
 print("halving the step roughly halves the gap: the method is first order.")

@@ -20,7 +20,7 @@ from fairaudit.attack import (
     unfair_map,
     unfair_map_batch,
 )
-from fairaudit.dataset import Dataset, load_csv, save_csv, split_csv, write_csv
+from fairaudit.dataset import Dataset, load_csv, save_csv, split_csv
 from fairaudit.fair_metric import (
     FairMetric,
     SubspaceSpec,

@@ -283,8 +283,9 @@ class LinearFlowProblem:
         object.__setattr__(self, "_evals", evals)
         object.__setattr__(self, "_evecs", evecs)
 
-    def field(self, x):
-        return self.a @ x + self.c
+    def input_gradient(self, x, y):
+        """The field on an (n, d) batch, in the model interface the attack calls; ``y`` is unused."""
+        return x @ self.a + self.c
 
     def exact(self, t: float) -> np.ndarray:
         lam = self._evals
@@ -297,26 +298,34 @@ class LinearFlowProblem:
         return self._evecs @ (growth * y0 + drift * cv)
 
 
-def stability_gap(probe: StabilityProbe, problem, step_sizes) -> float:
-    """Max L2 gap between Euler iterates and the problem's exact flow.
+def stability_gap(probe: StabilityProbe, problem, cfg: AttackConfig) -> float:
+    """Max L2 gap between the attack's Euler iterates and the problem's exact flow.
 
-    Checks the gap against the probe's global error bound for the realized
-    horizon and maximal step; a violation raises ``StabilityBoundError``.
-    The problem object must expose ``x0``, ``field(x)`` and ``exact(t)``.
+    The problem's field is attacked from ``problem.x0`` by ``unfair_map_batch``
+    under a zero metric, so the iterates are the audits' own kernel.  The gap
+    is checked against the probe's global error bound for the realized
+    horizon and maximal step; a violation raises ``StabilityBoundError``, and
+    a flow that leaves ``DIVERGENCE_RADIUS`` raises ``DivergenceError``.  The
+    problem object must expose ``x0``, ``input_gradient(x, y)`` and ``exact(t)``.
     """
-    steps = np.asarray(step_sizes, dtype=np.float64)
-    if steps.ndim != 1 or steps.size == 0 or np.any(steps <= 0):
-        raise ValueError("step_sizes must be a non-empty positive 1-D array")
+    steps = cfg.step_sizes()
+    if steps.size == 0:
+        raise ValueError("stability_gap needs at least one step")
     h = float(np.max(steps))
     if h > probe.max_step_h + 1e-15:
         raise ValueError(f"maximal step {h} exceeds probe.max_step_h {probe.max_step_h}")
-    x = np.asarray(problem.x0, dtype=np.float64).copy()
+    x0 = np.asarray(problem.x0, dtype=np.float64)
     t = 0.0
     gap = 0.0
-    for eta in steps:
-        x = x + eta * problem.field(x)
-        t += eta
-        gap = max(gap, float(np.linalg.norm(problem.exact(t) - x)))
+
+    def measure(k, x):
+        nonlocal t, gap
+        if k:
+            t += steps[k - 1]
+            gap = max(gap, float(np.linalg.norm(problem.exact(t) - x[0])))
+
+    zero = FairMetric(sigma=np.zeros((x0.size, x0.size)))
+    unfair_map_batch(problem, zero, cfg, x0[None], np.zeros(1), on_step=measure)
     bound = probe.bound(t, h)
     if gap > bound:
         raise StabilityBoundError(f"Euler gap {gap} exceeds stability bound {bound}")

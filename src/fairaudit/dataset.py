@@ -1,4 +1,4 @@
-"""Tabular dataset handling: CSV ingestion, standardization, and splits.
+"""Tabular dataset handling: CSV ingestion, standardization, splits, and the one CSV writer.
 
 A dataset is a numeric feature matrix, binary labels, and named binary
 protected columns.  Protected columns are carried alongside the features
@@ -48,8 +48,11 @@ def atomic_write_text(path, text) -> None:
 
 
 def _csv_cell(value) -> str:
-    """How every CSV artifact spells a cell: a string as it is, a float (``np.float64``
-    included) as its ``repr``, anything else (bools, numpy ints and bools) as an integer."""
+    """One CSV cell, as every artifact spells it.
+
+    A string is written as it is, a float (``np.float64`` included) as its
+    ``repr``, and anything else (bools, numpy ints and bools) as an integer.
+    """
     if isinstance(value, str):
         return value
     if isinstance(value, float):

@@ -26,8 +26,11 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce ``m`` to a finite 2-D float64 array."""
-    a = np.asarray(m, dtype=np.float64)
+    """Coerce ``m`` to a finite 2-D float64 array; ragged rows raise, naming ``name``."""
+    try:
+        a = np.asarray(m, dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular array of numbers") from None
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

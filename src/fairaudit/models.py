@@ -99,6 +99,14 @@ def _check_labels(y, n: int, scalar: bool = True) -> np.ndarray:
     return arr
 
 
+def _as_projector(projector, dim: int) -> np.ndarray:
+    """``projector`` as a finite ``(dim, dim)`` matrix; any other shape raises, naming it."""
+    p = as_matrix(projector, "projector")
+    if p.shape != (dim, dim):
+        raise ValueError(f"projector must have shape ({dim}, {dim}) for {dim} inputs, got shape {p.shape}")
+    return p
+
+
 def _as_batch(x, dim: int) -> np.ndarray:
     """Return x as an (n, dim) float array; any other shape, 1-D points included, raises."""
     arr = np.asarray(x, dtype=np.float64)
@@ -124,7 +132,7 @@ class LogisticModel:
         as_vector([self.bias], "bias")  # rejects a non-finite bias, naming it
         w = self.weights
         if self.projector is not None:
-            object.__setattr__(self, "projector", as_matrix(self.projector, "projector"))
+            object.__setattr__(self, "projector", _as_projector(self.projector, self.dim))
             w = self.projector @ w
         object.__setattr__(self, "_logit_gradient", w)
 
@@ -182,7 +190,7 @@ class MlpModel:
         if self.layer1_bias.shape != (h,) or self.layer2_weights.shape != (h,):
             raise ValueError("inconsistent MLP parameter shapes")
         if self.projector is not None:
-            object.__setattr__(self, "projector", as_matrix(self.projector, "projector"))
+            object.__setattr__(self, "projector", _as_projector(self.projector, d))
 
     @property
     def dim(self) -> int:

@@ -44,7 +44,7 @@ from . import inference
 from .attack import AttackConfig, constant_config_for_horizon, unfair_map_batch
 from .dataset import Dataset
 from .fair_metric import FairMetric
-from .linalg import fields_equal, spectral_norm
+from .linalg import as_matrix, fields_equal, spectral_norm
 from .models import _check_labels, expit, loss_from_logit
 
 BIAS_CLAMP = 50.0
@@ -71,6 +71,10 @@ class SimConfig:
             raise ValueError("minority_prob must lie in (0, 1)")
         if self.noise_sd <= 0 or self.label_noise_var < 0:
             raise ValueError("noise_sd must be positive and label_noise_var non-negative")
+        for name in ("group_means", "label_weights"):
+            shape = as_matrix(getattr(self, name), name).shape
+            if shape != (2, 2):
+                raise ValueError(f"{name} must be a 2x2 array (one row per group), got shape {shape}")
 
 
 def assign_labels(cfg: SimConfig, features, groups, label_noise=None) -> np.ndarray:

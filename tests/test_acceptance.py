@@ -30,13 +30,15 @@ def test_criterion_01_euler_global_stability():
     """Scalar decay flow: exact gap value, global bound, first-order scaling."""
     problem = attack.LinearFlowProblem(a=np.array([[-1.0]]), c=np.zeros(1), x0=np.ones(1))
     probe = attack.StabilityProbe(lipschitz_L=1.0, curvature_m=1.0, dim_d=1, max_step_h=0.1)
-    gap = attack.stability_gap(probe, problem, np.full(10, 0.1))
+    gap = attack.stability_gap(probe, problem, attack.AttackConfig(lam=1.0, num_steps=10, eta=0.1))
     expected = abs(math.exp(-1.0) - 0.9**10)
     assert gap == pytest.approx(expected, abs=1e-6)
     assert gap == pytest.approx(0.01920, abs=1e-5)
     bound = probe.bound(1.0, 0.1)
     assert gap <= bound <= 0.08592
-    half = attack.stability_gap(attack.StabilityProbe(1.0, 1.0, 1, 0.05), problem, np.full(20, 0.05))
+    half = attack.stability_gap(
+        attack.StabilityProbe(1.0, 1.0, 1, 0.05), problem, attack.AttackConfig(lam=1.0, num_steps=20, eta=0.05)
+    )
     assert 1.6 <= gap / half <= 2.4
     report(f"1 PASS: Euler gap {gap:.6f} == |e^-1 - 0.9^10| within 1e-6, <= bound {bound:.5f}, halving ratio {gap/half:.3f}")
 

@@ -309,13 +309,18 @@ class TestLossRatio:
         assert np.min(ratios) >= 1.0 - 1e-9
 
 
+def euler(num_steps, h):
+    """Constant Euler steps of size ``h``; a zero metric makes ``lam`` irrelevant."""
+    return AttackConfig(lam=1.0, num_steps=num_steps, eta=h)
+
+
 class TestStability:
     def scalar_decay_problem(self):
         return LinearFlowProblem(a=np.array([[-1.0]]), c=np.zeros(1), x0=np.ones(1))
 
     def test_hand_computed_scalar_case(self):
         probe = StabilityProbe(lipschitz_L=1.0, curvature_m=1.0, dim_d=1, max_step_h=0.1)
-        gap = stability_gap(probe, self.scalar_decay_problem(), np.full(10, 0.1))
+        gap = stability_gap(probe, self.scalar_decay_problem(), euler(10, 0.1))
         assert gap == pytest.approx(abs(math.exp(-1.0) - 0.9**10), abs=1e-12)
         assert gap <= probe.bound(1.0, 0.1)
         assert probe.bound(1.0, 0.1) == pytest.approx(0.05 * (math.e - 1.0), abs=1e-12)
@@ -323,15 +328,15 @@ class TestStability:
     def test_gap_shrinks_monotonically_with_step(self):
         prob = self.scalar_decay_problem()
         gaps = [
-            stability_gap(StabilityProbe(1.0, 1.0, 1, h), prob, np.full(int(round(1.0 / h)), h))
+            stability_gap(StabilityProbe(1.0, 1.0, 1, h), prob, euler(int(round(1.0 / h)), h))
             for h in (0.1, 0.05, 0.025)
         ]
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_halving_step_halves_the_gap_first_order(self):
         prob = self.scalar_decay_problem()
-        g1 = stability_gap(StabilityProbe(1.0, 1.0, 1, 0.1), prob, np.full(10, 0.1))
-        g2 = stability_gap(StabilityProbe(1.0, 1.0, 1, 0.05), prob, np.full(20, 0.05))
+        g1 = stability_gap(StabilityProbe(1.0, 1.0, 1, 0.1), prob, euler(10, 0.1))
+        g2 = stability_gap(StabilityProbe(1.0, 1.0, 1, 0.05), prob, euler(20, 0.05))
         assert 1.6 <= g1 / g2 <= 2.4
 
     def test_multidimensional_affine_problem_respects_bound(self):
@@ -342,18 +347,49 @@ class TestStability:
         prob = LinearFlowProblem(a=a, c=c, x0=x0)
         m_const = float(np.max(np.abs(a @ (a @ x0 + c))))  # decays along the flow
         probe = StabilityProbe(lipschitz_L=2.0, curvature_m=m_const, dim_d=2, max_step_h=0.05)
-        gap = stability_gap(probe, prob, np.full(40, 0.05))
+        gap = stability_gap(probe, prob, euler(40, 0.05))
         assert gap <= probe.bound(2.0, 0.05)
 
     def test_falsified_constants_raise(self):
         probe = StabilityProbe(lipschitz_L=1.0, curvature_m=1e-6, dim_d=1, max_step_h=0.1)
         with pytest.raises(StabilityBoundError):
-            stability_gap(probe, self.scalar_decay_problem(), np.full(10, 0.1))
+            stability_gap(probe, self.scalar_decay_problem(), euler(10, 0.1))
 
     def test_step_cap_enforced(self):
         probe = StabilityProbe(lipschitz_L=1.0, curvature_m=1.0, dim_d=1, max_step_h=0.05)
         with pytest.raises(ValueError, match="max_step_h"):
-            stability_gap(probe, self.scalar_decay_problem(), np.full(10, 0.1))
+            stability_gap(probe, self.scalar_decay_problem(), euler(10, 0.1))
+
+    @pytest.mark.parametrize(
+        "num_steps, h, gap",
+        [(10, 0.1, 0.019201001071442403), (20, 0.05, 0.00939351876290001), (40, 0.025, 0.004647001283561547)],
+    )
+    def test_kernel_gaps_equal_the_single_sample_loop_bitwise(self, num_steps, h, gap):
+        # the gaps of the former loop x = x + eta * (A x + c), t += eta
+        assert stability_gap(StabilityProbe(1.0, 1.0, 1, h), self.scalar_decay_problem(), euler(num_steps, h)) == gap
+
+    def test_affine_kernel_gap_equals_the_single_sample_loop_bitwise(self):
+        a, c, x0 = np.diag([-1.0, -2.0]), np.array([0.5, -0.25]), np.array([1.0, 1.0])
+        probe = StabilityProbe(2.0, float(np.max(np.abs(a @ (a @ x0 + c)))), 2, 0.05)
+        assert stability_gap(probe, LinearFlowProblem(a=a, c=c, x0=x0), euler(40, 0.05)) == 0.021949810319183763
+
+    def test_runs_the_attack_kernel_once(self, monkeypatch):
+        from fairaudit import attack
+
+        calls = []
+        kernel = attack.unfair_map_batch
+        monkeypatch.setattr(attack, "unfair_map_batch", lambda *a, **k: calls.append(a[3].shape) or kernel(*a, **k))
+        stability_gap(StabilityProbe(1.0, 1.0, 1, 0.1), self.scalar_decay_problem(), euler(10, 0.1))
+        assert calls == [(1, 1)]
+
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError, match="at least one step"):
+            stability_gap(StabilityProbe(1.0, 1.0, 1, 0.1), self.scalar_decay_problem(), euler(0, 0.1))
+
+    def test_flow_leaving_the_radius_raises_divergence(self):
+        growth = LinearFlowProblem(a=np.array([[1.0]]), c=np.zeros(1), x0=np.ones(1))
+        with pytest.raises(DivergenceError):
+            stability_gap(StabilityProbe(1.0, 1.0, 1, 0.5), growth, euler(100, 0.5))
 
     def test_exact_solution_of_affine_flow(self):
         prob = LinearFlowProblem(a=np.array([[-2.0]]), c=np.array([4.0]), x0=np.array([3.0]))

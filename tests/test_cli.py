@@ -69,6 +69,27 @@ class TestSimulateCommand:
         assert lines[0] == "x1,x2,label,group"
         assert len(lines) == 201
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("group_means", [[-1.5, 0.0]], "group_means must be a 2x2 array (one row per group), got shape (1, 2)"),
+            ("group_means", [[-1.5, 0.0, 1.0], [1.5, 0.0, 1.0]], "group_means must be a 2x2 array (one row per group), got shape (2, 3)"),
+            ("group_means", [[-1.5, 0.0], [1.5]], "group_means must be a rectangular array of numbers"),
+            (
+                "label_weights",
+                [[-0.2, -0.01, 0.0], [0.2, -0.01, 0.0]],
+                "label_weights must be a 2x2 array (one row per group), got shape (2, 3)",
+            ),
+        ],
+        ids=["one-group-mean", "three-column-means", "ragged-means", "three-column-weights"],
+    )
+    def test_mis_shaped_group_parameters_exit_10_naming_them(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "data.csv"
+        cfg = write_config(tmp_path, "s.json", {key: value, "data_output": str(out)})
+        assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"fairaudit simulate: error: {message}\n"
+        assert not out.exists()
+
 
 class TestSplitCommand:
     def test_split_partitions_rows(self, tmp_path, sim_csv):
@@ -536,6 +557,27 @@ class TestModelAndMetricFileTypes:
         assert cli.main(["audit", "--config", cfg]) == cli.EXIT_ERROR
         owner = "metric" if which == "metric" else f"{which} model"
         assert capsys.readouterr().err == f"fairaudit audit: error: {owner} key {key!r} must be {expected}, got {value!r}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "which, key, value, message",
+        [
+            ("metric", "sigma", [[1.0, 0.0], [0.0]], "sigma must be a rectangular array of numbers"),
+            ("mlp", "layer1_weights", [[1.0, 0.5], [-0.5]], "layer1_weights must be a rectangular array of numbers"),
+            ("logistic", "projector", [[1.0, 0.0], [0.0]], "projector must be a rectangular array of numbers"),
+            ("logistic", "projector", [[1.0]], "projector must have shape (2, 2) for 2 inputs, got shape (1, 1)"),
+            ("mlp", "projector", np.eye(3).tolist(), "projector must have shape (2, 2) for 2 inputs, got shape (3, 3)"),
+        ],
+        ids=["ragged-sigma", "ragged-mlp-weights", "ragged-projector", "small-logistic-projector", "large-mlp-projector"],
+    )
+    def test_field_of_wrong_shape_exits_10_naming_it(self, tmp_path, capsys, which, key, value, message):
+        model = self.MLP if which == "mlp" else self.LOGISTIC
+        docs = {"model": {**model}, "metric": {**self.METRIC}}
+        docs["metric" if which == "metric" else "model"][key] = value
+        paths = {name: write_config(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+        cfg = audit_config(tmp_path, paths["model"], paths["metric"], str(tmp_path / "absent.csv"))
+        assert cli.main(["audit", "--config", cfg]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"fairaudit audit: error: {message}\n"
         assert not (tmp_path / "report.json").exists()
 
     def test_integral_numbers_load_bitwise_as_floats(self):
