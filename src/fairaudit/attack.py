@@ -302,7 +302,7 @@ def stability_gap(probe: StabilityProbe, problem, cfg: AttackConfig) -> float:
     """Max L2 gap between the attack's Euler iterates and the problem's exact flow.
 
     The problem's field is attacked from ``problem.x0`` by ``unfair_map_batch``
-    under a zero metric, so the iterates are the audits' own kernel.  The gap
+    under a zero metric, so the iterates come from the kernel audits run.  The gap
     is checked against the probe's global error bound for the realized
     horizon and maximal step; a violation raises ``StabilityBoundError``, and
     a flow that leaves ``DIVERGENCE_RADIUS`` raises ``DivergenceError``.  The
