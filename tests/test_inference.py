@@ -400,6 +400,121 @@ class TestAudit:
         assert_array_equal(trace.step_sizes, cfg.step_sizes())
 
 
+class ExactStub:
+    """A model built from exactly rounded elementwise operations, so its audits give the same bits everywhere.
+
+    Rows starting at ``x1 > 2`` are pushed out of the divergence radius; the
+    others settle at 4/3 of their start, which moves some across ``x2 = 0.5``.
+    """
+
+    def predict_proba(self, x):
+        return np.where(x[:, 1] > 0.5, 0.75, 0.25)
+
+    def loss(self, x, y):
+        return 1.0 + np.sum(x * x, axis=1)
+
+    def input_gradient(self, x, y):
+        return np.where(x[:, :1] > 2.0, 8.0 * x, 0.5 * x)
+
+
+GOLDEN_X = np.array(
+    [[0.5, 0.25], [-1.0, 0.75], [0.25, 0.45], [1.5, 1.0], [-0.5, 0.4], [3.0, 0.5], [0.75, 0.125], [-2.0, 0.45]]
+)
+GOLDEN_Y = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+FINITE_ROWS = [0, 1, 2, 3, 4, 6, 7]
+GOLDEN_REPORTS = {
+    "error-rate": """{
+  "alpha": 0.1,
+  "ci_hi": 1.487563922095715,
+  "ci_lo": 1.242661975958447,
+  "ci_one_sided_lo": 1.2697079636428117,
+  "config": {
+    "alpha": 0.1
+  },
+  "delta": 1.1,
+  "divergent": [],
+  "error_rate": {
+    "a_n": 0.42857142857142855,
+    "b_n": 0.2857142857142857,
+    "reject": false,
+    "s_tilde": 1.5,
+    "t_tilde": 0.14070929634476492
+  },
+  "n": 7,
+  "note": "audit data assumed independent of the model's training data",
+  "reject": true,
+  "s_n": 1.365112949027081,
+  "t_n": 1.2697079636428117,
+  "v_n": 0.19696270672906008
+}
+""",
+    "no-error-rate": """{
+  "alpha": 0.05,
+  "ci_hi": 1.5110222829361508,
+  "ci_lo": 1.2192036151180112,
+  "ci_one_sided_lo": 1.242661975958447,
+  "config": {
+    "alpha": 0.1
+  },
+  "delta": 1.25,
+  "divergent": [],
+  "error_rate": null,
+  "n": 7,
+  "note": "audit data assumed independent of the model's training data",
+  "reject": false,
+  "s_n": 1.365112949027081,
+  "t_n": 1.242661975958447,
+  "v_n": 0.19696270672906008
+}
+""",
+    "divergent": """{
+  "alpha": 0.2,
+  "ci_hi": 1.4605179344113504,
+  "ci_lo": 1.2697079636428117,
+  "ci_one_sided_lo": 1.3024585356995977,
+  "config": {
+    "alpha": 0.1
+  },
+  "delta": 1.5,
+  "divergent": [
+    5
+  ],
+  "error_rate": {
+    "a_n": 0.42857142857142855,
+    "b_n": 0.2857142857142857,
+    "reject": false,
+    "s_tilde": 1.5,
+    "t_tilde": 0.6073258778250076
+  },
+  "n": 7,
+  "note": "audit data assumed independent of the model's training data",
+  "reject": false,
+  "s_n": 1.365112949027081,
+  "t_n": 1.3024585356995977,
+  "v_n": 0.19696270672906008
+}
+""",
+}
+
+
+class TestReportBytes:
+    """The exact ``report.json`` text of three small audits, captured before the statistics were folded in one place."""
+
+    @pytest.mark.parametrize(
+        "case, rows, kwargs",
+        [
+            ("error-rate", FINITE_ROWS, dict(alpha=0.1, delta=1.1)),
+            ("no-error-rate", FINITE_ROWS, dict(alpha=0.05, delta=1.25, include_error_rate=False)),
+            ("divergent", slice(None), dict(alpha=0.2, delta=1.5, skip_divergent=True)),
+        ],
+        ids=["error-rate", "no-error-rate", "divergent"],
+    )
+    def test_to_json(self, case, rows, kwargs):
+        cfg = AttackConfig(lam=1.0, num_steps=40, schedule="constant", eta=0.125)
+        report = audit(ExactStub(), FairMetric(sigma=np.eye(2)), cfg, GOLDEN_X[rows], GOLDEN_Y[rows], **kwargs)
+        assert report.to_json(extra={"config": {"alpha": 0.1}}) == GOLDEN_REPORTS[case]
+
+
 
 class TestAuditCalibration:
     """Monte-Carlo rejection behavior of the end-to-end audit on fresh draws."""
