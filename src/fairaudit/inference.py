@@ -20,8 +20,10 @@ to the mean vector (A_n, B_n); the second moments are accumulated
 uncentered with a 1/n normalization, which yields the same quadratic form
 as the centered covariance because the mean cross terms cancel exactly.
 
-All statistics are pure folds over per-sample values.  The loss-ratio
-ones fold the last axis, so one call folds a stack of ratio samples.
+All statistics are pure folds over per-sample values.  ``fold_ratios``
+forms every loss-ratio bound and ``error_rate_report`` the error-rates
+one; the other tests are views of these two.  The loss-ratio fold takes
+the last axis, so one call folds a stack of ratio samples.
 """
 
 from __future__ import annotations
@@ -91,28 +93,47 @@ def loss_ratio_stats(ratios):
     return (float(s_n), float(v_n)) if r.ndim == 1 else (s_n, v_n)
 
 
-def two_sided_ci(ratios, alpha: float):
-    """Equal-tailed interval S_n +/- z_{1-alpha/2} V_n / sqrt(n)."""
-    check_levels(alpha)
+class RatioFold(NamedTuple):
+    """The mean-of-ratios statistics; fields are floats, or ``(groups,)`` arrays for a stack."""
+
+    n: int
+    s_n: float
+    v_n: float
+    ci_lo: float  # S_n - z_{1-alpha/2} V_n / sqrt(n)
+    ci_hi: float  # S_n + z_{1-alpha/2} V_n / sqrt(n)
+    t_n: float  # S_n - z_{1-alpha} V_n / sqrt(n), the one-sided lower bound
+    reject: bool | None  # T_n > delta; None without delta
+
+
+def fold_ratios(ratios, alpha: float, delta: float | None = None) -> RatioFold:
+    """Fold the last axis of ``ratios`` into every loss-ratio statistic at once.
+
+    This is the one place the bounds S_n +/- margin and the decision
+    T_n > delta are formed; a ``(groups, n)`` stack gives row i bitwise as
+    the fold of row i alone.
+    """
+    check_levels(alpha, delta)
     r = np.asarray(ratios)
     s_n, v_n = loss_ratio_stats(r)
-    half = _margin(v_n, r.shape[-1], alpha / 2.0)
-    return s_n - half, s_n + half
+    n = r.shape[-1]
+    half = _margin(v_n, n, alpha / 2.0)
+    t_n = s_n - _margin(v_n, n, alpha)
+    return RatioFold(n, s_n, v_n, s_n - half, s_n + half, t_n, None if delta is None else t_n > delta)
+
+
+def two_sided_ci(ratios, alpha: float):
+    """Equal-tailed interval ``(ci_lo, ci_hi)`` of ``fold_ratios``."""
+    return fold_ratios(ratios, alpha)[3:5]
 
 
 def one_sided_lower_bound(ratios, alpha: float):
-    """Lower end of the one-sided interval: S_n - z_{1-alpha} V_n / sqrt(n)."""
-    check_levels(alpha)
-    r = np.asarray(ratios)
-    s_n, v_n = loss_ratio_stats(r)
-    return s_n - _margin(v_n, r.shape[-1], alpha)
+    """Lower end ``t_n`` of the one-sided interval of ``fold_ratios``."""
+    return fold_ratios(ratios, alpha).t_n
 
 
 def loss_ratio_test(ratios, alpha: float, delta: float):
-    """One-sided lower confidence bound T_n and the rejection decision T_n > delta."""
-    check_levels(alpha, delta)
-    t_n = one_sided_lower_bound(ratios, alpha)
-    return t_n, t_n > delta
+    """One-sided lower confidence bound and its decision, ``(t_n, reject)`` of ``fold_ratios``."""
+    return fold_ratios(ratios, alpha, delta)[5:]
 
 
 def _check_zero_one_pair(post, pre) -> tuple[np.ndarray, np.ndarray]:
@@ -154,30 +175,25 @@ def error_rate_stats(post, pre) -> ErrorRateStats:
     return ErrorRateStats(a_n=a_n, b_n=b_n, s_tilde=a_n / b_n, var_hat=quad / (n * b_n**4))
 
 
-def error_rate_test(post, pre, alpha: float, delta: float) -> tuple[float, bool]:
-    """Calibrated error-rates statistic T~ = S~ - z_{1-alpha} sqrt(var_hat) and its decision."""
-    check_levels(alpha, delta)
-    stats = error_rate_stats(post, pre)
-    t_tilde = stats.s_tilde - _margin(math.sqrt(stats.var_hat), 1, alpha)
-    return t_tilde, t_tilde > delta
-
-
-@dataclass(frozen=True)
-class ErrorRateReport:
+class ErrorRateReport(NamedTuple):
     a_n: float
     b_n: float
     s_tilde: float
-    t_tilde: float
-    reject: bool
+    t_tilde: float  # S~ - z_{1-alpha} sqrt(var_hat)
+    reject: bool  # T~ > delta
 
-    def to_dict(self) -> dict:
-        return {
-            "a_n": self.a_n,
-            "b_n": self.b_n,
-            "s_tilde": self.s_tilde,
-            "t_tilde": self.t_tilde,
-            "reject": self.reject,
-        }
+
+def error_rate_report(post, pre, alpha: float, delta: float) -> ErrorRateReport:
+    """The error-rates test: the one place T~ and its decision T~ > delta are formed."""
+    check_levels(alpha, delta)
+    stats = error_rate_stats(post, pre)
+    t_tilde = stats.s_tilde - _margin(math.sqrt(stats.var_hat), 1, alpha)
+    return ErrorRateReport(stats.a_n, stats.b_n, stats.s_tilde, t_tilde, t_tilde > delta)
+
+
+def error_rate_test(post, pre, alpha: float, delta: float) -> tuple[float, bool]:
+    """Calibrated error-rates statistic and its decision, ``(t_tilde, reject)`` of ``error_rate_report``."""
+    return error_rate_report(post, pre, alpha, delta)[3:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +238,7 @@ class AuditReport:
             "alpha": self.alpha,
             "delta": self.delta,
             "reject": self.reject,
-            "error_rate": None if self.error_rate is None else self.error_rate.to_dict(),
+            "error_rate": None if self.error_rate is None else self.error_rate._asdict(),
             "divergent": list(self.divergent),
             "note": self.note,
         }
@@ -279,35 +295,18 @@ def audit(
     pre01 = (_predictions(model, x[idx]) != y[idx].astype(np.int64)).astype(np.int64)
     post01 = (_predictions(model, attacked[idx]) != y[idx].astype(np.int64)).astype(np.int64)
 
-    # each statistic is folded once; the bounds come from the same expressions as the public functions
-    s_n, v_n = loss_ratio_stats(ratios)
-    half = _margin(v_n, idx.size, alpha / 2.0)
-    t_n = s_n - _margin(v_n, idx.size, alpha)
-    reject = t_n > delta
-
-    error_rate = None
-    if include_error_rate:
-        stats = error_rate_stats(post01, pre01)
-        t_tilde = stats.s_tilde - _margin(math.sqrt(stats.var_hat), 1, alpha)
-        error_rate = ErrorRateReport(
-            a_n=stats.a_n, b_n=stats.b_n, s_tilde=stats.s_tilde, t_tilde=t_tilde, reject=t_tilde > delta
-        )
+    fold = fold_ratios(ratios, alpha, delta)
+    error_rate = error_rate_report(post01, pre01, alpha, delta) if include_error_rate else None
 
     if record_trace and idx.size < x.shape[0]:
         states = states[:, idx]  # a copy only to drop rows
     trace = None if states is None else AttackTrace.record(model, metric, attack_cfg, states, x[idx], y[idx])
 
     return AuditReport(
-        n=int(idx.size),
-        s_n=s_n,
-        v_n=v_n,
-        t_n=t_n,
-        ci_lo=s_n - half,
-        ci_hi=s_n + half,
-        ci_one_sided_lo=t_n,
+        **fold._asdict(),
+        ci_one_sided_lo=fold.t_n,
         alpha=alpha,
         delta=delta,
-        reject=reject,
         error_rate=error_rate,
         divergent=tuple(divergent),
         note=INDEPENDENCE_NOTE,
