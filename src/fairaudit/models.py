@@ -88,6 +88,11 @@ _ACTIVATIONS = {
 }
 
 
+def _check_activation(activation: str) -> None:
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unsupported activation {activation!r}; use tanh or softplus")
+
+
 def _check_labels(y, n: int, scalar: bool = True) -> np.ndarray:
     """0/1 labels as floats for ``n`` rows: an ``(n,)`` array, or a scalar unless ``scalar`` is false."""
     arr = np.asarray(y, dtype=np.float64)
@@ -184,8 +189,7 @@ class MlpModel:
         object.__setattr__(self, "layer1_bias", as_vector(self.layer1_bias, "layer1_bias"))
         object.__setattr__(self, "layer2_weights", as_vector(self.layer2_weights, "layer2_weights"))
         as_vector([self.layer2_bias], "layer2_bias")  # rejects a non-finite bias, naming it
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unsupported activation {self.activation!r}; use tanh or softplus")
+        _check_activation(self.activation)
         h, d = self.layer1_weights.shape
         if self.layer1_bias.shape != (h,) or self.layer2_weights.shape != (h,):
             raise ValueError("inconsistent MLP parameter shapes")
@@ -303,6 +307,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.batch_size <= 0 or self.num_steps < 0:
             raise ValueError("batch_size must be positive and num_steps non-negative")
+        if self.hidden_units < 1:
+            raise ValueError(f"hidden_units must be at least 1, got {self.hidden_units!r}")
+        _check_activation(self.activation)
         if self.preprocess_projector is not None:
             object.__setattr__(
                 self, "preprocess_projector", as_matrix(self.preprocess_projector, "preprocess_projector")

@@ -180,6 +180,34 @@ class TestTrainCommand:
         # the projector zeroes coordinate 1, so predictions ignore it
         assert model.predict_proba(np.array([[5.0, 0.2]]))[0] == model.predict_proba(np.array([[-5.0, 0.2]]))[0]
 
+    @pytest.mark.parametrize(
+        "architecture, key, value, message",
+        [
+            ("mlp", "hidden_units", 0, "hidden_units must be at least 1, got 0"),
+            ("mlp", "hidden_units", -3, "hidden_units must be at least 1, got -3"),
+            ("logistic", "activation", "relu", "unsupported activation 'relu'; use tanh or softplus"),
+        ],
+        ids=["zero-units", "negative-units", "relu"],
+    )
+    def test_unusable_mlp_settings_exit_10_naming_them(self, tmp_path, sim_csv, capsys, architecture, key, value, message):
+        model_out = tmp_path / "model.json"
+        cfg = write_config(
+            tmp_path,
+            "train.json",
+            {
+                "data": sim_csv,
+                "label_column": "label",
+                "protected_columns": ["group"],
+                "architecture": architecture,
+                key: value,
+                "num_steps": 10,
+                "model_output": str(model_out),
+            },
+        )
+        assert cli.main(["train", "--config", cfg]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"fairaudit train: error: {message}\n"
+        assert not model_out.exists()
+
 
 class TestAuditCommand:
     def test_unfair_model_rejects_with_exit_3(self, tmp_path, sim_csv, metric_file):
