@@ -11,9 +11,12 @@ from fairaudit.attack import AttackConfig, audit_preset, sim_preset
 from fairaudit.fair_metric import FairMetric, rotated_coordinate_metric
 from fairaudit.inference import (
     NoBaselineErrors,
+    RatioFold,
     audit,
+    error_rate_report,
     error_rate_stats,
     error_rate_test,
+    fold_ratios,
     loss_ratio_stats,
     loss_ratio_test,
     normal_quantile,
@@ -94,10 +97,14 @@ class TestStackedFold:
         (loss_ratio_test, (0.05, 1.25)),
     ]
 
+    @staticmethod
+    def stack(groups, n):
+        return sim.RatioPopulation(mean=1.3, sd=0.2).sample(np.random.default_rng(n + groups), (groups, n))
+
     @pytest.mark.parametrize("n", [2, 7, 400])
     @pytest.mark.parametrize("groups", [0, 1, 81])
     def test_rows_bitwise_equal_their_1d_fold(self, n, groups):
-        stack = sim.RatioPopulation(mean=1.3, sd=0.2).sample(np.random.default_rng(n + groups), (groups, n))
+        stack = self.stack(groups, n)
         for fold, args in self.FOLDS:
             got = fold(stack, *args)
             got = got if isinstance(got, tuple) else (got,)
@@ -108,6 +115,37 @@ class TestStackedFold:
                 want = want if isinstance(want, tuple) else (want,)
                 assert tuple(part[i] for part in got) == want
 
+    @pytest.mark.parametrize("delta", [None, 1.25])
+    @pytest.mark.parametrize("n", [2, 7, 400])
+    @pytest.mark.parametrize("groups", [0, 1, 81])
+    def test_ratio_fold_rows_bitwise_equal_their_1d_fold(self, n, groups, delta):
+        stack = self.stack(groups, n)
+        got = fold_ratios(stack, 0.1, delta)
+        assert type(got.n) is int and got.n == n
+        assert (got.reject is None) == (delta is None)
+        arrays = [name for name in RatioFold._fields[1:] if getattr(got, name) is not None]
+        for name in arrays:
+            assert isinstance(getattr(got, name), np.ndarray) and getattr(got, name).shape == (groups,)
+        for i in range(groups):
+            want = fold_ratios(stack[i], 0.1, delta)
+            assert want.n == n and (want.reject is None) == (delta is None)
+            assert tuple(getattr(got, name)[i] for name in arrays) == tuple(getattr(want, name) for name in arrays)
+
+    @pytest.mark.parametrize("groups", [None, 5])
+    def test_views_return_exactly_the_fold_fields(self, groups):
+        r = np.array([1.0, 1.5, 1.75, 2.5]) if groups is None else self.stack(groups, 9)
+        fold = fold_ratios(r, 0.1, 1.2)
+        views = [
+            (loss_ratio_stats(r), (fold.s_n, fold.v_n)),
+            (two_sided_ci(r, 0.1), (fold.ci_lo, fold.ci_hi)),
+            ((one_sided_lower_bound(r, 0.1),), (fold.t_n,)),
+            (loss_ratio_test(r, 0.1, 1.2), (fold.t_n, fold.reject)),
+        ]
+        for got, want in views:
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and np.array_equal(g, w)
+
     def test_1d_input_returns_python_scalars(self):
         r = [1.0, 1.5, 1.75]
         assert all(type(v) is float for v in loss_ratio_stats(r))
@@ -115,6 +153,10 @@ class TestStackedFold:
         assert type(one_sided_lower_bound(r, 0.05)) is float
         t_n, reject = loss_ratio_test(r, 0.05, 1.25)
         assert type(t_n) is float and type(reject) is bool
+        fold = fold_ratios(r, 0.05, 1.25)
+        assert type(fold.n) is int and type(fold.reject) is bool
+        assert all(type(v) is float for v in fold[1:6])
+        assert fold_ratios(r, 0.05).reject is None
 
     @pytest.mark.parametrize(
         "stack, match",
@@ -127,7 +169,7 @@ class TestStackedFold:
         ],
     )
     def test_bad_stack_raises(self, stack, match):
-        for fold, args in self.FOLDS:
+        for fold, args in [*self.FOLDS, (fold_ratios, (0.05,))]:
             with pytest.raises(ValueError, match=match):
                 fold(stack, *args)
 
@@ -265,6 +307,16 @@ class TestErrorRateTest:
         pre = [1, 0] * 200
         t, reject = error_rate_test(post, pre, alpha=0.05, delta=1.25)
         assert t > 1.25 and reject is True
+
+    @pytest.mark.parametrize(
+        "post, pre", [([1, 0, 1, 1], [1, 0, 1, 1]), ([1, 1, 0, 1], [1, 0, 0, 1]), ([1] * 400, [1, 0] * 200)]
+    )
+    def test_is_the_tail_of_the_report(self, post, pre):
+        report = error_rate_report(post, pre, alpha=0.05, delta=1.25)
+        stats = error_rate_stats(post, pre)
+        assert report[:3] == stats[:3]
+        assert all(type(v) is float for v in report[:4]) and type(report.reject) is bool
+        assert error_rate_test(post, pre, alpha=0.05, delta=1.25) == report[3:]
 
 
 class TestAudit:
