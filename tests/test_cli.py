@@ -540,6 +540,75 @@ class TestConfigTypes:
         assert cli.main(["audit", "--config", cfg]) in (0, 3)
 
 
+_DATA_DEFAULTS = {"protected_columns": (), "standardize": False}
+_AUDIT_ATTACK = {"lam": 50.0, "num_steps": 500, "schedule": "constant", "eta": 0.01, "decay_c": 0.02, "decay_p": 2 / 3}
+_AUDITED = {"model": "model.json", "metric": "metric.json", "data": "audit.csv", "label_column": "label"}
+
+
+@pytest.mark.parametrize(
+    "command, required, defaults",
+    [
+        (
+            "split",
+            {"input": "data.csv", "train_output": "train.csv", "audit_output": "audit.csv"},
+            {"train_fraction": 0.8, "seed": 0},
+        ),
+        (
+            "train",
+            {"data": "train.csv", "label_column": "label", "model_output": "model.json"},
+            {**_DATA_DEFAULTS, "architecture": "logistic", "hidden_units": 50, "activation": "tanh",
+             "learning_rate": 0.1, "batch_size": 64, "num_steps": 2000, "class_reweight": True, "seed": 0,
+             "projector_metric": None},
+        ),
+        (
+            "metric",
+            {"metric_output": "metric.json"},
+            {**_DATA_DEFAULTS, "type": "learned", "data": None, "label_column": None, "rank_tol": 1e-08,
+             "learning_rate": 0.5, "batch_size": 64, "num_steps": 3000, "seed": 0, "beta_degrees": None},
+        ),
+        (
+            "audit",
+            {**_AUDITED, "report_output": "report.json"},
+            {**_DATA_DEFAULTS, **_AUDIT_ATTACK, "alpha": 0.05, "delta": 1.25, "skip_divergent": False,
+             "error_rate": True, "samples_output": None, "trace_output": None},
+        ),
+        (
+            "simulate",
+            {"data_output": "data.csv"},
+            {"n_samples": 400, "minority_prob": 0.1, "group_means": ((-1.5, 0.0), (1.5, 0.0)), "noise_sd": 0.25,
+             "label_weights": ((-0.2, -0.01), (0.2, -0.01)), "label_noise_var": 0.0001, "seed": 7},
+        ),
+        (
+            "sweep",
+            {"data": "data.csv", "label_column": "label", "output": "heatmap.csv"},
+            {**_DATA_DEFAULTS, "lam": 100.0, "num_steps": 400, "schedule": "decay", "eta": 0.01, "decay_c": 0.02,
+             "decay_p": 2 / 3, "beta_degrees": 0.0, "alpha": 0.05, "delta": 1.25, "w1_min": -4.0, "w1_max": 4.0,
+             "w1_step": 0.4, "w2_min": -4.0, "w2_max": 4.0, "w2_step": 0.4},
+        ),
+        (
+            "stopping-sweep",
+            {**_AUDITED, "horizons": [1.0], "output": "stopping.csv"},
+            {**_DATA_DEFAULTS, "lam": 50.0, "eta": 0.01, "alpha": 0.05, "horizons": (1.0,)},
+        ),
+        (
+            "robustness",
+            {**_AUDITED, "scales": [0.5], "output": "robustness.csv"},
+            {**_DATA_DEFAULTS, **_AUDIT_ATTACK, "perturb_seed": 0, "scales": (0.5,)},
+        ),
+        (
+            "calibrate",
+            {"output": "calibration.csv"},
+            {"n": 500, "coverage_replicates": 1000, "replicates": 200, "alpha": 0.05, "delta": 1.25,
+             "coverage_mean": 2.0, "sd": 0.5, "shape": 4.0, "seed": 1},
+        ),
+    ],
+)
+def test_materialized_defaults_are_pinned(tmp_path, command, required, defaults):
+    # a preset or config edit that reaches a CLI default must show up here; repr tells 0 from 0.0 and True from 1
+    parsed = cli._parse_config(write_config(tmp_path, "cfg.json", required), command)
+    assert repr(sorted(parsed.items())) == repr(sorted({**required, **defaults}.items()))
+
+
 class TestModelAndMetricFileTypes:
     LOGISTIC = {"architecture": "logistic", "weights": [4.0, 0.0], "bias": 0.0, "projector": None}
     MLP = {
