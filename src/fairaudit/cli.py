@@ -25,11 +25,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import inference, sim
+from . import fair_metric, inference, sim
 # bench/traced_cli.py patches the ``unfair_map`` binding of this module
-from .attack import AttackConfig, DivergenceError, unfair_map  # noqa: F401
+from .attack import AttackConfig, DivergenceError, audit_preset, sim_preset, unfair_map  # noqa: F401
 from .dataset import _expect, _read_json_object, atomic_write_text, load_csv, save_csv, split_csv, write_csv
 from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
+from .linalg import DEFAULT_RANK_TOL
 from .inference import NoBaselineErrors
 from .models import TrainConfig, load_model, save_model, train
 
@@ -43,7 +44,7 @@ class _Key:
     """One config key: its JSON type (a ``dataset._convert`` kind) and its default.
 
     ``null`` is accepted only for optional keys whose default is ``None``.
-    Defaults are written as JSON values and converted like given ones.
+    Defaults are converted like given values.
     """
 
     kind: type | list
@@ -51,20 +52,26 @@ class _Key:
     required: bool = False
 
 
+def _kind(value):
+    """The ``dataset._convert`` kind of a default: its type, or ``[kind]`` of its first item for a tuple."""
+    return [_kind(value[0])] if isinstance(value, tuple) else type(value)
+
+
+def _keys(defaults, *names) -> dict[str, _Key]:
+    """Config keys for the named fields of the dataclass instance ``defaults``, which owns their defaults.
+
+    With no names, every field whose value is not ``None``.
+    """
+    values = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
+    names = names or [name for name, value in values.items() if value is not None]
+    return {name: _Key(_kind(values[name]), default=values[name]) for name in names}
+
+
 _DATA_KEYS = {
     "data": _Key(str, required=True),
     "label_column": _Key(str, required=True),
     "protected_columns": _Key([str], default=[]),
     "standardize": _Key(bool, default=False),
-}
-
-_ATTACK_KEYS = {
-    "lam": _Key(float, default=50.0),
-    "num_steps": _Key(int, default=500),
-    "schedule": _Key(str, default="constant"),
-    "eta": _Key(float, default=0.01),
-    "decay_c": _Key(float, default=0.02),
-    "decay_p": _Key(float, default=2.0 / 3.0),
 }
 
 _SCHEMAS: dict[str, dict[str, _Key]] = {
@@ -78,13 +85,8 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
     "train": {
         **_DATA_KEYS,
         "architecture": _Key(str, default="logistic"),
-        "hidden_units": _Key(int, default=50),
-        "activation": _Key(str, default="tanh"),
-        "learning_rate": _Key(float, default=0.1),
-        "batch_size": _Key(int, default=64),
-        "num_steps": _Key(int, default=2000),
-        "class_reweight": _Key(bool, default=True),
-        "seed": _Key(int, default=0),
+        # the CLI's one departure from a library default: it trains with class reweighting
+        **_keys(TrainConfig(class_reweight=True)),
         "projector_metric": _Key(str, default=None),
         "model_output": _Key(str, required=True),
     },
@@ -94,11 +96,8 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "label_column": _Key(str, default=None),
         "protected_columns": _Key([str], default=[]),
         "standardize": _Key(bool, default=False),
-        "rank_tol": _Key(float, default=1e-8),
-        "learning_rate": _Key(float, default=0.5),
-        "batch_size": _Key(int, default=64),
-        "num_steps": _Key(int, default=3000),
-        "seed": _Key(int, default=0),
+        "rank_tol": _Key(float, default=DEFAULT_RANK_TOL),
+        **_keys(fair_metric.SUBSPACE_TRAINING, "learning_rate", "batch_size", "num_steps", "seed"),
         "beta_degrees": _Key(float, default=None),
         "metric_output": _Key(str, required=True),
     },
@@ -106,7 +105,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "model": _Key(str, required=True),
         "metric": _Key(str, required=True),
         **_DATA_KEYS,
-        **_ATTACK_KEYS,
+        **_keys(audit_preset()),
         "alpha": _Key(float, default=0.05),
         "delta": _Key(float, default=1.25),
         "skip_divergent": _Key(bool, default=False),
@@ -116,21 +115,12 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "trace_output": _Key(str, default=None),
     },
     "simulate": {
-        "n_samples": _Key(int, default=400),
-        "minority_prob": _Key(float, default=0.1),
-        "group_means": _Key([[float]], default=[[-1.5, 0.0], [1.5, 0.0]]),
-        "noise_sd": _Key(float, default=0.25),
-        "label_weights": _Key([[float]], default=[[-0.2, -0.01], [0.2, -0.01]]),
-        "label_noise_var": _Key(float, default=1e-4),
-        "seed": _Key(int, default=7),
+        **_keys(sim.SimConfig()),
         "data_output": _Key(str, required=True),
     },
     "sweep": {
         **_DATA_KEYS,
-        **_ATTACK_KEYS,
-        "lam": _Key(float, default=100.0),
-        "num_steps": _Key(int, default=400),
-        "schedule": _Key(str, default="decay"),
+        **_keys(sim_preset()),
         "beta_degrees": _Key(float, default=0.0),
         "alpha": _Key(float, default=0.05),
         "delta": _Key(float, default=1.25),
@@ -146,8 +136,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "model": _Key(str, required=True),
         "metric": _Key(str, required=True),
         **_DATA_KEYS,
-        "lam": _Key(float, default=50.0),
-        "eta": _Key(float, default=0.01),
+        **_keys(audit_preset(), "lam", "eta"),
         "horizons": _Key([float], required=True),
         "alpha": _Key(float, default=0.05),
         "output": _Key(str, required=True),
@@ -156,7 +145,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "model": _Key(str, required=True),
         "metric": _Key(str, required=True),
         **_DATA_KEYS,
-        **_ATTACK_KEYS,
+        **_keys(audit_preset()),
         "scales": _Key([float], required=True),
         "perturb_seed": _Key(int, default=0),
         "output": _Key(str, required=True),

@@ -104,12 +104,12 @@ def _convert(kind, value):
     """``value`` as ``kind``, or ValueError if it is not one.
 
     ``kind`` is ``bool``, ``int``, ``float`` or ``str``, or ``[kind]`` for a
-    JSON array of such values (converted to a tuple).  Numbers are never
+    JSON array (or a tuple) of such values, converted to a tuple.  Numbers are never
     booleans or strings; an integral float such as 5.0 is accepted as an
     integer.
     """
     if isinstance(kind, list):
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             return tuple(_convert(kind[0], v) for v in value)
     elif kind is bool or kind is str:
         if isinstance(value, kind):

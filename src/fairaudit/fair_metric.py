@@ -128,6 +128,10 @@ class SubspaceSpec:
             raise ValueError("rank_tol must be positive")
 
 
+# the trainer settings of the per-column subspace regressions when none are given
+SUBSPACE_TRAINING = models.TrainConfig(learning_rate=0.5, batch_size=64, num_steps=3000, seed=0)
+
+
 def learn_sensitive_metric(dataset, spec: SubspaceSpec, train_cfg: models.TrainConfig | None = None) -> FairMetric:
     """Learn a sensitive-subspace metric from data.
 
@@ -141,7 +145,7 @@ def learn_sensitive_metric(dataset, spec: SubspaceSpec, train_cfg: models.TrainC
     warning; if every column is skipped this raises.
     """
     if train_cfg is None:
-        train_cfg = models.TrainConfig(learning_rate=0.5, batch_size=64, num_steps=3000, seed=0)
+        train_cfg = SUBSPACE_TRAINING
     if train_cfg.class_reweight:
         raise ValueError("subspace regressions run without class reweighting")
     x = np.asarray(dataset.features, dtype=np.float64)
