@@ -26,6 +26,7 @@ variant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -303,8 +304,8 @@ class TrainConfig:
     __eq__ = fields_equal
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if self.batch_size <= 0 or self.num_steps < 0:
             raise ValueError("batch_size must be positive and num_steps non-negative")
         if self.hidden_units < 1:

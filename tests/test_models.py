@@ -204,6 +204,21 @@ class TestTraining:
         with pytest.raises(ValueError, match="architecture"):
             train(np.ones((4, 1)), np.array([0, 1, 0, 1]), "tree", TrainConfig(num_steps=1))
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("learning_rate", 0.0, "learning_rate must be positive and finite, got 0.0"),
+            ("learning_rate", -0.1, "learning_rate must be positive and finite, got -0.1"),
+            ("learning_rate", math.nan, "learning_rate must be positive and finite, got nan"),
+            ("learning_rate", math.inf, "learning_rate must be positive and finite, got inf"),
+            ("hidden_units", 0, "hidden_units must be at least 1, got 0"),
+            ("activation", "relu", "unsupported activation 'relu'; use tanh or softplus"),
+        ],
+    )
+    def test_unusable_train_config_is_rejected_naming_the_field(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{key: value})
+
 
 class TestSerialization:
     def test_logistic_round_trip_bit_identical(self):
