@@ -273,7 +273,8 @@ def audit(
     predictions before and after the attack feed the error-rates test.
     Samples whose attack diverges abort the audit unless
     ``skip_divergent`` is set, in which case they are excluded and listed
-    in the report.  The caller is responsible for auditing on data the
+    in the report; if that leaves no misclassified sample, the error-rates
+    test raises ``NoBaselineErrors`` naming the dropped rows.  The caller is responsible for auditing on data the
     model was not trained on; the report carries that obligation as a note.
     ``record_trace`` keeps every step of this same attack on the audited
     samples as the report's ``trace``.
@@ -295,6 +296,13 @@ def audit(
     pre01 = (_predictions(model, x[idx]) != y[idx].astype(np.int64)).astype(np.int64)
     post01 = (_predictions(model, attacked[idx]) != y[idx].astype(np.int64)).astype(np.int64)
 
+    if include_error_rate and divergent and not pre01.any():
+        dropped = list(divergent)
+        wrong = int(np.sum(_predictions(model, x[dropped]) != y[dropped].astype(np.int64)))
+        raise NoBaselineErrors(
+            f"no kept sample is misclassified: skip_divergent dropped {len(dropped)} divergent rows, {wrong} of them"
+            ' misclassified, so the error-rates ratio is undefined; set "error_rate": false to audit without it'
+        )
     fold = fold_ratios(ratios, alpha, delta)
     error_rate = error_rate_report(post01, pre01, alpha, delta) if include_error_rate else None
 

@@ -312,6 +312,26 @@ class TestAuditCommand:
         rec = json.loads(lines[0])
         assert rec["step"] == 0 and rec["sample"] == 0 and "loss" in rec and "penalty" in rec
 
+    def test_no_baseline_errors_after_skipping_exits_10_naming_the_dropped_rows(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        simulate = write_config(tmp_path, "s.json", {"n_samples": 100, "seed": 1, "data_output": str(data)})
+        assert cli.main(["simulate", "--config", simulate]) == 0
+        model = tmp_path / "model.json"
+        save_model(LogisticModel(weights=np.array([4.0, 1.5]), bias=0.0), model)
+        metric = write_config(tmp_path, "identity.json", {"dim": 2, "sigma": [[1.0, 0.0], [0.0, 1.0]]})
+        attack = {"lam": 1.0, "num_steps": 20, "eta": 1.5, "skip_divergent": True}
+        cfg = audit_config(tmp_path, str(model), metric, str(data), **attack)
+        capsys.readouterr()
+        assert cli.main(["audit", "--config", cfg]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "fairaudit audit: error: no kept sample is misclassified: skip_divergent dropped 48 divergent rows,"
+            ' 48 of them misclassified, so the error-rates ratio is undefined; set "error_rate": false to audit'
+            " without it\n"
+        )
+        assert not (tmp_path / "report.json").exists()
+        cfg = audit_config(tmp_path, str(model), metric, str(data), **attack, error_rate=False)
+        assert cli.main(["audit", "--config", cfg]) in (0, 3)
+
     def test_invalid_alpha_exits_10(self, tmp_path, sim_csv, metric_file):
         model = unfair_model_file(tmp_path, sim_csv)
         cfg = audit_config(tmp_path, model, metric_file, sim_csv, alpha=0.7)

@@ -389,6 +389,22 @@ class TestAudit:
         assert report.error_rate is None
         assert report.s_n == 1.0
 
+    def test_no_baseline_errors_after_skipping_names_the_dropped_rows(self):
+        # exactly the 48 misclassified rows diverge, so skip_divergent leaves no baseline error
+        ds = sim.generate(sim.SimConfig(n_samples=100, seed=1))
+        model = LogisticModel(weights=np.array([4.0, 1.5]), bias=0.0)
+        cfg = AttackConfig(lam=1.0, num_steps=20, schedule="constant", eta=1.5)
+        message = (
+            "no kept sample is misclassified: skip_divergent dropped 48 divergent rows, 48 of them misclassified,"
+            ' so the error-rates ratio is undefined; set "error_rate": false to audit without it'
+        )
+        with pytest.raises(NoBaselineErrors, match=f"^{message}$"):
+            audit(model, FairMetric(np.eye(2)), cfg, ds.features, ds.labels, skip_divergent=True)
+        report = audit(
+            model, FairMetric(np.eye(2)), cfg, ds.features, ds.labels, skip_divergent=True, include_error_rate=False
+        )
+        assert len(report.divergent) == 48 and report.n == 52
+
     @pytest.mark.parametrize("skip_divergent", [False, True])
     def test_non_finite_row_is_rejected_not_divergent(self, sim_dataset, unfair_sim_model, skip_divergent):
         x, y = sim_dataset.features[:60].copy(), sim_dataset.labels[:60]
