@@ -30,8 +30,8 @@ from . import fair_metric, inference, sim
 from .attack import AttackConfig, DivergenceError, audit_preset, sim_preset, unfair_map  # noqa: F401
 from .dataset import _expect, _read_json_object, atomic_write_text, load_csv, save_csv, split_csv, write_csv
 from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
-from .linalg import DEFAULT_RANK_TOL
 from .inference import NoBaselineErrors
+from .linalg import DEFAULT_RANK_TOL
 from .models import TrainConfig, load_model, save_model, train
 
 EXIT_OK = 0

@@ -104,9 +104,9 @@ def _convert(kind, value):
     """``value`` as ``kind``, or ValueError if it is not one.
 
     ``kind`` is ``bool``, ``int``, ``float`` or ``str``, or ``[kind]`` for a
-    JSON array (or a tuple) of such values, converted to a tuple.  Numbers are never
-    booleans or strings; an integral float such as 5.0 is accepted as an
-    integer.
+    JSON array or a tuple of such values (converted to a tuple).  Numbers
+    are never booleans or strings; an integral float such as 5.0 is
+    accepted as an integer.
     """
     if isinstance(kind, list):
         if isinstance(value, (list, tuple)):

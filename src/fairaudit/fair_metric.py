@@ -128,11 +128,13 @@ class SubspaceSpec:
             raise ValueError("rank_tol must be positive")
 
 
-# the trainer settings of the per-column subspace regressions when none are given
+# the trainer settings of the per-column subspace regressions unless the caller gives others
 SUBSPACE_TRAINING = models.TrainConfig(learning_rate=0.5, batch_size=64, num_steps=3000, seed=0)
 
 
-def learn_sensitive_metric(dataset, spec: SubspaceSpec, train_cfg: models.TrainConfig | None = None) -> FairMetric:
+def learn_sensitive_metric(
+    dataset, spec: SubspaceSpec, train_cfg: models.TrainConfig = SUBSPACE_TRAINING
+) -> FairMetric:
     """Learn a sensitive-subspace metric from data.
 
     One logistic regression per protected column predicts that column from
@@ -144,8 +146,6 @@ def learn_sensitive_metric(dataset, spec: SubspaceSpec, train_cfg: models.TrainC
     Constant protected columns cannot be regressed and are skipped with a
     warning; if every column is skipped this raises.
     """
-    if train_cfg is None:
-        train_cfg = SUBSPACE_TRAINING
     if train_cfg.class_reweight:
         raise ValueError("subspace regressions run without class reweighting")
     x = np.asarray(dataset.features, dtype=np.float64)

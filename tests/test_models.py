@@ -204,20 +204,10 @@ class TestTraining:
         with pytest.raises(ValueError, match="architecture"):
             train(np.ones((4, 1)), np.array([0, 1, 0, 1]), "tree", TrainConfig(num_steps=1))
 
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("learning_rate", 0.0, "learning_rate must be positive and finite, got 0.0"),
-            ("learning_rate", -0.1, "learning_rate must be positive and finite, got -0.1"),
-            ("learning_rate", math.nan, "learning_rate must be positive and finite, got nan"),
-            ("learning_rate", math.inf, "learning_rate must be positive and finite, got inf"),
-            ("hidden_units", 0, "hidden_units must be at least 1, got 0"),
-            ("activation", "relu", "unsupported activation 'relu'; use tanh or softplus"),
-        ],
-    )
-    def test_unusable_train_config_is_rejected_naming_the_field(self, key, value, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            TrainConfig(**{key: value})
+    @pytest.mark.parametrize("value, shown", [(0.0, "0.0"), (-0.1, "-0.1"), (math.nan, "nan"), (math.inf, "inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, value, shown):
+        with pytest.raises(ValueError, match=f"^learning_rate must be positive and finite, got {shown}$"):
+            TrainConfig(learning_rate=value)
 
 
 class TestSerialization:
