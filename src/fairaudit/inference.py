@@ -274,8 +274,9 @@ def audit(
     Samples whose attack diverges abort the audit unless
     ``skip_divergent`` is set, in which case they are excluded and listed
     in the report; if that leaves no misclassified sample, the error-rates
-    test raises ``NoBaselineErrors`` naming the dropped rows.  The caller is responsible for auditing on data the
-    model was not trained on; the report carries that obligation as a note.
+    test raises ``NoBaselineErrors`` naming the dropped rows.  The caller
+    is responsible for auditing on data the model was not trained on; the
+    report carries that obligation as a note.
     ``record_trace`` keeps every step of this same attack on the audited
     samples as the report's ``trace``.
     """
