@@ -2,7 +2,8 @@
 
 Every command takes a single JSON config file (--config).  Config parsing
 is strict and typed: unknown keys are errors, every key declares its JSON
-type and each value is validated and converted once, and all defaults are
+type and each value is validated and converted once (a seed, any key whose
+name ends in ``seed``, must also be non-negative), and all defaults are
 materialized so the values that actually ran can be embedded in outputs.
 Outputs are written atomically (temp file, then rename) and are
 byte-identical across reruns with the same config.
@@ -28,7 +29,7 @@ import numpy as np
 from . import fair_metric, inference, sim
 # bench/traced_cli.py patches the ``unfair_map`` binding of this module
 from .attack import AttackConfig, DivergenceError, audit_preset, sim_preset, unfair_map  # noqa: F401
-from .dataset import _expect, _read_json_object, atomic_write_text, load_csv, save_csv, split_csv, write_csv
+from .dataset import _expect, _read_json_object, _Stream, atomic_write_text, load_csv, save_csv, split_csv, write_csv
 from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
 from .inference import NoBaselineErrors
 from .linalg import DEFAULT_RANK_TOL
@@ -180,6 +181,8 @@ def _parse_config(path, command: str) -> dict:
             value = spec.default
         nullable = spec.default is None and not spec.required
         out[key] = _expect(spec.kind, value, f"{command}: config key {key!r}", nullable)
+        if key.endswith("seed") and out[key] < 0:
+            raise ValueError(f"{command}: config key {key!r} must be non-negative, got {out[key]!r}")
     if "alpha" in out:
         inference.check_levels(out["alpha"], out.get("delta"))
     return out
@@ -212,6 +215,7 @@ def run_train(cfg: dict) -> int:
         projector = load_metric(cfg["projector_metric"]).sigma
     train_cfg = _build(TrainConfig, cfg, preprocess_projector=projector)
     model = train(ds.features, ds.labels, architecture=cfg["architecture"], cfg=train_cfg)
+    del ds  # encoding the model with the training data still held set the command's peak RSS
     save_model(model, cfg["model_output"])
     print(f"train: saved {cfg['architecture']} model to {cfg['model_output']}")
     return EXIT_OK
@@ -235,35 +239,27 @@ def run_metric(cfg: dict) -> int:
     return EXIT_OK
 
 
-class _TraceJsonl:
-    """The JSONL trace of an audit: one record per sample and step, sample-major.
+def _write_trace(path, index, trace) -> None:
+    """Write the JSONL trace of an audit: one record per sample and step, sample-major.
 
-    Iterating yields one chunk per sample, formatted while the file is
-    written.  Each record is the line ``json.dumps(record, sort_keys=True)``
-    gives, spelled out directly: floats and lists of floats use ``repr``,
-    which matches ``json`` for finite values only, so every value must be
-    finite.  ``len`` is the number of chunks, so the object can be measured
-    like the strings ``atomic_write_text`` also takes.
+    Each record is one line of JSON with sorted keys and ``json``'s default separators, spelled out
+    directly and joined per sample while the file is written: floats and lists of floats use ``repr``,
+    which matches ``json`` for finite values only, so every value must be finite.
     """
+    if not all(np.all(np.isfinite(a)) for a in (trace.iterates, trace.losses, trace.penalties)):
+        raise ValueError("audit: trace holds non-finite values")
 
-    def __init__(self, index, trace):
-        if not all(np.all(np.isfinite(a)) for a in (trace.iterates, trace.losses, trace.penalties)):
-            raise ValueError("audit: trace holds non-finite values")
-        self.index, self.trace = index, trace
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __iter__(self):
-        t = self.trace
-        for j, sample in enumerate(self.index.tolist()):
-            rows = zip(t.losses[:, j].tolist(), t.penalties[:, j].tolist(), t.iterates[:, j].tolist())
+    def samples():
+        for j, sample in enumerate(index.tolist()):
+            rows = zip(trace.losses[:, j].tolist(), trace.penalties[:, j].tolist(), trace.iterates[:, j].tolist())
             yield "".join(
                 [
                     f'{{"loss": {loss!r}, "penalty": {penalty!r}, "sample": {sample}, "step": {k}, "x": {x!r}}}\n'
                     for k, (loss, penalty, x) in enumerate(rows)
                 ]
             )
+
+    atomic_write_text(path, _Stream(len(index), samples()))
 
 
 def run_audit(cfg: dict) -> int:
@@ -287,7 +283,7 @@ def run_audit(cfg: dict) -> int:
         rows = list(zip(report.index, report.ratios, report.pre01, report.post01))
         write_csv(cfg["samples_output"], ["index", "ratio", "pre01", "post01"], rows)
     if report.trace is not None:
-        atomic_write_text(cfg["trace_output"], _TraceJsonl(report.index, report.trace))
+        _write_trace(cfg["trace_output"], report.index, report.trace)
     verdict = "reject" if report.reject else "fail to reject"
     print(f"audit: n={report.n} s_n={report.s_n:.6g} t_n={report.t_n:.6g} delta={report.delta} -> {verdict}")
     return EXIT_REJECT if report.reject else EXIT_OK

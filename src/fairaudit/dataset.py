@@ -1,4 +1,8 @@
-"""Tabular dataset handling: CSV ingestion, standardization, splits, and the one CSV writer.
+"""Tabular dataset handling (CSV ingestion, standardization, splits) and the one owner of every artifact format.
+
+Every file the package writes goes through ``atomic_write_text``: CSV through
+``write_csv``, JSON through ``write_json`` (``json_text`` gives the same
+text), and the CLI's JSONL trace, each as a ``_Stream`` of text chunks.
 
 A dataset is a numeric feature matrix, binary labels, and named binary
 protected columns.  Protected columns are carried alongside the features
@@ -18,6 +22,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -60,28 +65,41 @@ def _csv_cell(value) -> str:
     return str(int(value))
 
 
-class _Lines:
-    """The lines of a CSV file, each with its newline: the header, then one per row.
+class _Stream:
+    """``count`` items, produced by the iterator ``items`` while they are consumed, so no list of them is built.
 
-    Lines are formatted while the file is written, so no joined copy of the
-    file is built; ``len`` is the number of lines, header included.
+    Every artifact reaches its file as a stream of text chunks (CSV lines, trace samples or
+    JSON encoder chunks); ``len`` lets ``atomic_write_text`` measure it like a string.
     """
 
-    def __init__(self, header, rows):
-        self.header, self.rows = header, rows
+    def __init__(self, count: int, items):
+        self.count, self.items = count, items
 
     def __len__(self) -> int:
-        return 1 + len(self.rows)
+        return self.count
 
     def __iter__(self):
-        yield ",".join(self.header) + "\n"
-        for row in self.rows:
-            yield ",".join(map(_csv_cell, row)) + "\n"
+        return iter(self.items)
 
 
 def write_csv(path, header, rows) -> None:
-    """Write the column names ``header`` and the sized sequence of tuples ``rows`` to ``path`` atomically."""
-    atomic_write_text(path, _Lines(header, rows))
+    """Write the column names ``header`` and the sized iterable of tuples ``rows`` to ``path`` atomically."""
+    lines = (",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    atomic_write_text(path, _Stream(1 + len(rows), chain([",".join(header) + "\n"], lines)))
+
+
+# every JSON artifact: keys sorted, a two-space indent, and a final newline
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def json_text(doc) -> str:
+    """``doc`` as the text ``write_json`` writes."""
+    return "".join(_JSON.iterencode(doc)) + "\n"
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` atomically, encoded while the file is written (a joined MLP model raised peak RSS)."""
+    atomic_write_text(path, _Stream(1, chain(_JSON.iterencode(doc), "\n")))
 
 
 def _read_json_object(path, kind: str) -> dict:
@@ -276,7 +294,7 @@ def load_csv(path, label_column: str, protected_columns=(), standardize: bool = 
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset as CSV: features, then the label, then the protected columns."""
     columns = [*ds.features.T.tolist(), ds.labels.tolist(), *(col.tolist() for col in ds.protected.values())]
-    write_csv(path, [*ds.feature_names, ds.label_name, *ds.protected], list(zip(*columns)))
+    write_csv(path, [*ds.feature_names, ds.label_name, *ds.protected], _Stream(ds.n, zip(*columns)))
 
 
 def split_csv(path, train_path, audit_path, train_fraction: float, seed: int) -> tuple[int, int]:

@@ -14,15 +14,13 @@ computations direct.  Instances are immutable and evaluation is pure.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import models
-from .dataset import _field, _read_json_object, atomic_write_text
+from .dataset import _field, _read_json_object, write_json
 from .linalg import DEFAULT_RANK_TOL, as_matrix, fields_equal, orthonormal_basis, projector_orthogonal_to
 
 SYMMETRY_TOL = 1e-10
@@ -106,7 +104,7 @@ def metric_from_dict(doc: dict) -> FairMetric:
 
 
 def save_metric(metric: FairMetric, path) -> None:
-    atomic_write_text(path, chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(metric.to_dict()), "\n"))
+    write_json(path, metric.to_dict())
 
 
 def load_metric(path) -> FairMetric:

@@ -28,14 +28,14 @@ the last axis, so one call folds a stack of ratio samples.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .attack import AttackConfig, AttackTrace, unfair_map_batch
+from .dataset import json_text
 from .fair_metric import FairMetric
 from .linalg import fields_equal
 
@@ -196,6 +196,10 @@ def error_rate_test(post, pre, alpha: float, delta: float) -> tuple[float, bool]
     return error_rate_report(post, pre, alpha, delta)[3:]
 
 
+# the fields behind the statistics, which the report file leaves out
+_PER_SAMPLE_FIELDS = ("index", "ratios", "pre01", "post01", "trace")
+
+
 @dataclass(frozen=True, eq=False)
 class AuditReport:
     """Everything an audit produces, plus the per-sample values behind it.
@@ -227,27 +231,13 @@ class AuditReport:
     __eq__ = fields_equal
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s_n": self.s_n,
-            "v_n": self.v_n,
-            "t_n": self.t_n,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "ci_one_sided_lo": self.ci_one_sided_lo,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "reject": self.reject,
-            "error_rate": None if self.error_rate is None else self.error_rate._asdict(),
-            "divergent": list(self.divergent),
-            "note": self.note,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _PER_SAMPLE_FIELDS}
+        if self.error_rate is not None:
+            doc["error_rate"] = self.error_rate._asdict()
+        return doc
 
     def to_json(self, extra: dict | None = None) -> str:
-        doc = self.to_dict()
-        if extra:
-            doc.update(extra)
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text({**self.to_dict(), **(extra or {})})
 
 
 def _predictions(model, x) -> np.ndarray:

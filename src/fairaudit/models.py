@@ -25,14 +25,12 @@ variant.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .dataset import _expect, _field, _read_json_object, atomic_write_text
+from .dataset import _expect, _field, _read_json_object, write_json
 from .linalg import as_matrix, as_vector, fields_equal
 
 # Probabilities are clamped to [P_FLOOR, 1 - P_FLOOR] inside the loss, which
@@ -121,6 +119,27 @@ def _as_batch(x, dim: int) -> np.ndarray:
     return arr
 
 
+# each architecture's parameters and their JSON types; a model file also holds "architecture" and "projector"
+_MODEL_KEYS = {
+    "logistic": {"weights": [float], "bias": float},
+    "mlp": {
+        "layer1_weights": [[float]],
+        "layer1_bias": [float],
+        "layer2_weights": [float],
+        "layer2_bias": float,
+        "activation": str,
+    },
+}
+
+
+def _model_dict(model, arch: str) -> dict:
+    """The model file's document: the tag ``arch``, the parameters ``_MODEL_KEYS`` lists, and the projector."""
+    doc = {"architecture": arch, "projector": None if model.projector is None else model.projector.tolist()}
+    for key, kind in _MODEL_KEYS[arch].items():
+        doc[key] = getattr(model, key).tolist() if isinstance(kind, list) else kind(getattr(model, key))
+    return doc
+
+
 @dataclass(frozen=True, eq=False)
 class LogisticModel:
     """Linear logit classifier: p(x) = expit(bias + w . (P x))."""
@@ -164,12 +183,7 @@ class LogisticModel:
         return (expit(z) - _check_labels(y, len(z)))[:, None] * self._logit_gradient[None, :]
 
     def to_dict(self) -> dict:
-        return {
-            "architecture": "logistic",
-            "weights": self.weights.tolist(),
-            "bias": float(self.bias),
-            "projector": None if self.projector is None else self.projector.tolist(),
-        }
+        return _model_dict(self, "logistic")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,27 +250,7 @@ class MlpModel:
         return grad
 
     def to_dict(self) -> dict:
-        return {
-            "architecture": "mlp",
-            "activation": self.activation,
-            "layer1_weights": self.layer1_weights.tolist(),
-            "layer1_bias": self.layer1_bias.tolist(),
-            "layer2_weights": self.layer2_weights.tolist(),
-            "layer2_bias": float(self.layer2_bias),
-            "projector": None if self.projector is None else self.projector.tolist(),
-        }
-
-
-_MODEL_KEYS = {
-    "logistic": {"weights": [float], "bias": float},
-    "mlp": {
-        "layer1_weights": [[float]],
-        "layer1_bias": [float],
-        "layer2_weights": [float],
-        "layer2_bias": float,
-        "activation": str,
-    },
-}
+        return _model_dict(self, "mlp")
 
 
 def model_from_dict(doc: dict):
@@ -274,8 +268,7 @@ def model_from_dict(doc: dict):
 
 
 def save_model(model, path) -> None:
-    # streamed chunk by chunk: joining an MLP's encoded chunks first raised the command's peak RSS
-    atomic_write_text(path, chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(model.to_dict()), "\n"))
+    write_json(path, model.to_dict())
 
 
 def load_model(path):
@@ -306,8 +299,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
-        if self.batch_size <= 0 or self.num_steps < 0:
-            raise ValueError("batch_size must be positive and num_steps non-negative")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size!r}")
+        if self.num_steps < 0:
+            raise ValueError(f"num_steps must be non-negative, got {self.num_steps!r}")
         if self.hidden_units < 1:
             raise ValueError(f"hidden_units must be at least 1, got {self.hidden_units!r}")
         _check_activation(self.activation)

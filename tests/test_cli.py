@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from fairaudit import cli, inference, sim
+from fairaudit.attack import AttackTrace
 from fairaudit.dataset import Dataset
-from fairaudit.fair_metric import load_metric
-from fairaudit.models import LogisticModel, load_model, save_model
+from fairaudit.fair_metric import FairMetric, load_metric, save_metric
+from fairaudit.models import LogisticModel, MlpModel, load_model, save_model
 
 
 def write_config(tmp_path, name, doc):
@@ -186,8 +187,10 @@ class TestTrainCommand:
             ("mlp", "hidden_units", 0, "hidden_units must be at least 1, got 0"),
             ("mlp", "hidden_units", -3, "hidden_units must be at least 1, got -3"),
             ("logistic", "activation", "relu", "unsupported activation 'relu'; use tanh or softplus"),
+            ("logistic", "batch_size", 0, "batch_size must be at least 1, got 0"),
+            ("logistic", "num_steps", -1, "num_steps must be non-negative, got -1"),
         ],
-        ids=["zero-units", "negative-units", "relu"],
+        ids=["zero-units", "negative-units", "relu", "zero-batch", "negative-steps"],
     )
     def test_unusable_mlp_settings_exit_10_naming_them(self, tmp_path, sim_csv, capsys, architecture, key, value, message):
         model_out = tmp_path / "model.json"
@@ -199,8 +202,8 @@ class TestTrainCommand:
                 "label_column": "label",
                 "protected_columns": ["group"],
                 "architecture": architecture,
-                key: value,
                 "num_steps": 10,
+                key: value,
                 "model_output": str(model_out),
             },
         )
@@ -551,6 +554,32 @@ class TestConfigTypes:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, key", [
+        ("split", "seed"),
+        ("train", "seed"),
+        ("metric", "seed"),
+        ("simulate", "seed"),
+        ("robustness", "perturb_seed"),
+        ("calibrate", "seed"),
+    ])
+    def test_negative_seed_exits_10_naming_it(self, tmp_path, sim_csv, metric_file, capsys, command, key):
+        data = {"data": sim_csv, "label_column": "label", "protected_columns": ["group"]}
+        out = str(tmp_path / "out")
+        base = {
+            "split": {"input": sim_csv, "train_output": out, "audit_output": str(tmp_path / "audit.csv")},
+            "train": {**data, "num_steps": 10, "model_output": out},
+            "metric": {**data, "num_steps": 10, "metric_output": out},
+            "simulate": {"n_samples": 50, "data_output": out},
+            "robustness": {"model": unfair_model_file(tmp_path, sim_csv), "metric": metric_file, **data,
+                           "scales": [0.0], "num_steps": 5, "output": out},
+            "calibrate": {"n": 20, "coverage_replicates": 5, "replicates": 5, "output": out},
+        }[command]
+        cfg = write_config(tmp_path, f"{command}.json", {**base, key: -1})
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_ERROR
+        expected = f"fairaudit {command}: error: {command}: config key {key!r} must be non-negative, got -1\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_and_json_booleans_accepted(self, tmp_path, sim_csv, metric_file):
         model = unfair_model_file(tmp_path, sim_csv)
         cfg = audit_config(tmp_path, model, metric_file, sim_csv, num_steps=5.0, skip_divergent=False, error_rate=True)
@@ -785,6 +814,133 @@ class TestCsvArtifacts:
         cfg = write_config(tmp_path, "cfg.json", {key: values[key] for key in keys})
         assert cli.main([command, "--config", cfg]) == cli.EXIT_OK
         assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
+GOLDEN_MODELS = {
+    "logistic": (
+        LogisticModel(weights=np.array([0.1, -2.5]), bias=1e-17),
+        """{
+  "architecture": "logistic",
+  "bias": 1e-17,
+  "projector": null,
+  "weights": [
+    0.1,
+    -2.5
+  ]
+}
+""",
+    ),
+    "logistic-projector": (
+        LogisticModel(weights=np.array([1.0, 1 / 3]), bias=-4, projector=np.array([[1.0, 0.0], [0.0, 0.0]])),
+        """{
+  "architecture": "logistic",
+  "bias": -4.0,
+  "projector": [
+    [
+      1.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0
+    ]
+  ],
+  "weights": [
+    1.0,
+    0.3333333333333333
+  ]
+}
+""",
+    ),
+    "mlp": (
+        MlpModel(
+            layer1_weights=np.array([[0.1, -2.5], [1e-17, 3.0]]),
+            layer1_bias=np.array([0.0, -0.5]),
+            layer2_weights=np.array([1 / 3, 2.0]),
+            layer2_bias=0.25,
+            activation="softplus",
+        ),
+        """{
+  "activation": "softplus",
+  "architecture": "mlp",
+  "layer1_bias": [
+    0.0,
+    -0.5
+  ],
+  "layer1_weights": [
+    [
+      0.1,
+      -2.5
+    ],
+    [
+      1e-17,
+      3.0
+    ]
+  ],
+  "layer2_bias": 0.25,
+  "layer2_weights": [
+    0.3333333333333333,
+    2.0
+  ],
+  "projector": null
+}
+""",
+    ),
+}
+
+GOLDEN_METRIC = """{
+  "dim": 2,
+  "sigma": [
+    [
+      0.3333333333333333,
+      0.0
+    ],
+    [
+      0.0,
+      1e-17
+    ]
+  ]
+}
+"""
+
+
+class TestJsonArtifacts:
+    """The exact bytes of the model, metric and trace files: JSON with sorted keys, a two-space
+    indent and a final newline, and JSON lines with sorted keys, floats spelled as ``repr``."""
+
+    @pytest.mark.parametrize("case", list(GOLDEN_MODELS))
+    def test_model_bytes(self, tmp_path, case):
+        model, expected = GOLDEN_MODELS[case]
+        save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == expected.encode()
+
+    def test_metric_bytes(self, tmp_path):
+        save_metric(FairMetric(sigma=np.array([[1 / 3, 0.0], [0.0, 1e-17]])), tmp_path / "metric.json")
+        assert (tmp_path / "metric.json").read_bytes() == GOLDEN_METRIC.encode()
+
+    def test_trace_bytes(self, tmp_path, sim_csv, metric_file, monkeypatch):
+        # two samples (rows 0 and 3) over two states, replaced by fixed values so the file pins only its spelling
+        trace = AttackTrace(
+            iterates=np.array([[[0.1, -2.5], [1.0, 0.0]], [[1e-17, 3.0], [1 / 3, -0.0]]]),
+            losses=np.array([[0.5, 2.0], [1.25, 1e-12]]),
+            penalties=np.array([[0.0, 0.0], [0.1, 1e-17]]),
+            step_sizes=np.array([0.5]),
+            horizon=0.5,
+        )
+        report = SimpleNamespace(
+            index=np.array([0, 3]), trace=trace, reject=False, n=2, s_n=1.0, t_n=0.5, delta=1.25,
+            to_json=lambda extra: "{}\n",
+        )
+        monkeypatch.setattr(inference, "audit", lambda *a, **k: report)
+        model = write_config(tmp_path, "model.json", TestModelAndMetricFileTypes.LOGISTIC)
+        cfg = audit_config(tmp_path, model, metric_file, sim_csv, trace_output=str(tmp_path / "trace.jsonl"))
+        assert cli.main(["audit", "--config", cfg]) == cli.EXIT_OK
+        assert (tmp_path / "trace.jsonl").read_text() == (
+            '{"loss": 0.5, "penalty": 0.0, "sample": 0, "step": 0, "x": [0.1, -2.5]}\n'
+            '{"loss": 1.25, "penalty": 0.1, "sample": 0, "step": 1, "x": [1e-17, 3.0]}\n'
+            '{"loss": 2.0, "penalty": 0.0, "sample": 3, "step": 0, "x": [1.0, 0.0]}\n'
+            '{"loss": 1e-12, "penalty": 1e-17, "sample": 3, "step": 1, "x": [0.3333333333333333, -0.0]}\n'
+        )
 
 
 class TestBatchedTrace:

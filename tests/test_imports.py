@@ -20,3 +20,15 @@ def test_cli_import_skips_modules_only_some_commands_need():
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_cli_import_skips_numpy_random_and_openssl():
+    # numpy.random loads OpenSSL through secrets, several MB of peak RSS that
+    # only the commands that draw random numbers need
+    code = (
+        "import sys, fairaudit.cli; "
+        "print(' '.join(m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
