@@ -50,8 +50,8 @@ class AttackConfig:
     """Penalty strength, step budget, and step-size schedule.
 
     ``schedule`` is ``"constant"`` (every step ``eta``) or ``"decay"``
-    (step t gets ``decay_c / t**decay_p``).  ``num_steps == 0`` is allowed
-    and makes the attack the identity map.
+    (step t gets ``decay_c / t**decay_p``); the field defaults own the step
+    settings.  ``num_steps == 0`` makes the attack the identity map.
     """
 
     lam: float
@@ -89,15 +89,15 @@ class AttackConfig:
 
 def audit_preset() -> AttackConfig:
     """Default settings for auditing trained classifiers on tabular data."""
-    return AttackConfig(lam=50.0, num_steps=500, schedule="constant", eta=0.01)
+    return AttackConfig(lam=50.0, num_steps=500)
 
 
 def sim_preset() -> AttackConfig:
     """Default settings for the 2-D synthetic study (decaying steps)."""
-    return AttackConfig(lam=100.0, num_steps=400, schedule="decay", decay_c=0.02, decay_p=2.0 / 3.0)
+    return AttackConfig(lam=100.0, num_steps=400, schedule="decay")
 
 
-def constant_config_for_horizon(lam: float, horizon: float, eta: float = 0.01) -> AttackConfig:
+def constant_config_for_horizon(lam: float, horizon: float, eta: float = AttackConfig.eta) -> AttackConfig:
     """Constant-step config whose step count best matches the requested horizon."""
     if horizon < 0:
         raise ValueError("horizon must be non-negative")

@@ -75,6 +75,8 @@ _DATA_KEYS = {
     "standardize": _Key(bool, default=False),
 }
 
+_LEVELS = {"alpha": _Key(float, default=inference.DEFAULT_ALPHA), "delta": _Key(float, default=inference.DEFAULT_DELTA)}
+
 _SCHEMAS: dict[str, dict[str, _Key]] = {
     "split": {
         "input": _Key(str, required=True),
@@ -107,8 +109,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "metric": _Key(str, required=True),
         **_DATA_KEYS,
         **_keys(audit_preset()),
-        "alpha": _Key(float, default=0.05),
-        "delta": _Key(float, default=1.25),
+        **_LEVELS,
         "skip_divergent": _Key(bool, default=False),
         "error_rate": _Key(bool, default=True),
         "report_output": _Key(str, required=True),
@@ -123,14 +124,9 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         **_DATA_KEYS,
         **_keys(sim_preset()),
         "beta_degrees": _Key(float, default=0.0),
-        "alpha": _Key(float, default=0.05),
-        "delta": _Key(float, default=1.25),
-        "w1_min": _Key(float, default=-4.0),
-        "w1_max": _Key(float, default=4.0),
-        "w1_step": _Key(float, default=0.4),
-        "w2_min": _Key(float, default=-4.0),
-        "w2_max": _Key(float, default=4.0),
-        "w2_step": _Key(float, default=0.4),
+        **_LEVELS,
+        **{f"{axis}_{end}": _Key(float, default=value)
+           for axis in ("w1", "w2") for end, value in zip(("min", "max", "step"), sim.SWEEP_GRID)},
         "output": _Key(str, required=True),
     },
     "stopping-sweep": {
@@ -139,7 +135,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         **_DATA_KEYS,
         **_keys(audit_preset(), "lam", "eta"),
         "horizons": _Key([float], required=True),
-        "alpha": _Key(float, default=0.05),
+        "alpha": _LEVELS["alpha"],
         "output": _Key(str, required=True),
     },
     "robustness": {
@@ -155,8 +151,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "n": _Key(int, default=500),
         "coverage_replicates": _Key(int, default=1000),
         "replicates": _Key(int, default=200),
-        "alpha": _Key(float, default=0.05),
-        "delta": _Key(float, default=1.25),
+        **_LEVELS,
         "coverage_mean": _Key(float, default=2.0),
         "sd": _Key(float, default=0.5),
         "shape": _Key(float, default=4.0),

@@ -56,6 +56,10 @@ def normal_quantile(p: float) -> float:
     return statistics.NormalDist().inv_cdf(p)
 
 
+DEFAULT_ALPHA = 0.05
+DEFAULT_DELTA = 1.25
+
+
 def check_levels(alpha: float, delta: float | None = None) -> None:
     """The audit's level policy: alpha in (0, 0.5] and, when given, delta > 1.
 
@@ -251,8 +255,8 @@ def audit(
     attack_cfg: AttackConfig,
     features,
     labels,
-    alpha: float = 0.05,
-    delta: float = 1.25,
+    alpha: float = DEFAULT_ALPHA,
+    delta: float = DEFAULT_DELTA,
     skip_divergent: bool = False,
     include_error_rate: bool = True,
     record_trace: bool = False,

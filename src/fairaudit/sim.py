@@ -41,13 +41,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import inference
-from .attack import AttackConfig, constant_config_for_horizon, unfair_map_batch
+from .attack import AttackConfig, audit_preset, constant_config_for_horizon, unfair_map_batch
 from .dataset import Dataset
 from .fair_metric import FairMetric
 from .linalg import as_matrix, fields_equal, spectral_norm
 from .models import _check_labels, expit, loss_from_logit
 
 BIAS_CLAMP = 50.0
+SWEEP_GRID = (-4.0, 4.0, 0.4)  # (lo, hi, step) of both axes of the default heatmap grid
 # rows of the stacked (cell, sample) state that one attack call advances together
 SWEEP_ROW_BLOCK = 4096
 
@@ -172,7 +173,7 @@ class GridSpec:
 
     @classmethod
     def default(cls) -> "GridSpec":
-        vals = cls.from_range(-4.0, 4.0, 0.4)
+        vals = cls.from_range(*SWEEP_GRID)
         return cls(w1_values=vals, w2_values=vals)
 
 
@@ -230,8 +231,8 @@ def sweep_heatmap(
     grid: GridSpec,
     metric: FairMetric,
     attack_cfg: AttackConfig,
-    alpha: float = 0.05,
-    delta: float = 1.25,
+    alpha: float = inference.DEFAULT_ALPHA,
+    delta: float = inference.DEFAULT_DELTA,
 ) -> list[HeatmapCell]:
     """Audit a fitted-intercept logistic model at every grid coefficient pair.
 
@@ -273,9 +274,9 @@ def stopping_time_sweep(
     features,
     labels,
     horizons,
-    lam: float = 50.0,
-    eta: float = 0.01,
-    alpha: float = 0.05,
+    lam: float = audit_preset().lam,
+    eta: float = audit_preset().eta,
+    alpha: float = inference.DEFAULT_ALPHA,
 ) -> list[tuple[float, float]]:
     """Audit statistic as a function of the attack stopping time.
 
@@ -438,7 +439,7 @@ class CalibrationResult(NamedTuple):
 
 
 def coverage_experiment(
-    pop: RatioPopulation, n: int = 500, replicates: int = 1000, alpha: float = 0.05, seed: int = 1
+    pop: RatioPopulation, n: int = 500, replicates: int = 1000, alpha: float = inference.DEFAULT_ALPHA, seed: int = 1
 ) -> tuple[CalibrationResult, float]:
     """Fraction of two-sided intervals covering the oracle mean."""
     if replicates < 1:
@@ -458,7 +459,7 @@ def rejection_rate_experiment(
     delta: float,
     n: int = 500,
     replicates: int = 200,
-    alpha: float = 0.05,
+    alpha: float = inference.DEFAULT_ALPHA,
     seed: int = 2,
     name: str = "type1",
 ) -> CalibrationResult:
