@@ -265,8 +265,6 @@ def load_csv(path, label_column: str, protected_columns=(), standardize: bool = 
     col_of = {h: j for j, h in enumerate(header)}
     # take() copies into a C-ordered array, the layout the models' BLAS calls expect
     features = rows.take([col_of[h] for h in feature_names], axis=1)
-    labels = _check_binary_column(rows[:, col_of[label_column]], label_column)
-    protected = {name: _check_binary_column(rows[:, col_of[name]], name) for name in protected_columns}
 
     standardization: dict[str, tuple[float, float]] = {}
     if standardize:
@@ -281,11 +279,12 @@ def load_csv(path, label_column: str, protected_columns=(), standardize: bool = 
             features[:, j] = (col - mean) / sd
             standardization[name] = (mean, sd)
 
+    # Dataset checks that the label and protected columns are binary and converts them
     return Dataset(
         feature_names=feature_names,
         features=features,
-        labels=labels,
-        protected=protected,
+        labels=rows[:, col_of[label_column]],
+        protected={name: rows[:, col_of[name]] for name in protected_columns},
         label_name=label_column,
         standardization=standardization,
     )
@@ -306,6 +305,8 @@ def split_csv(path, train_path, audit_path, train_fraction: float, seed: int) ->
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     with open(path, encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:

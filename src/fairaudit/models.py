@@ -305,6 +305,8 @@ class TrainConfig:
             raise ValueError(f"num_steps must be non-negative, got {self.num_steps!r}")
         if self.hidden_units < 1:
             raise ValueError(f"hidden_units must be at least 1, got {self.hidden_units!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         _check_activation(self.activation)
         if self.preprocess_projector is not None:
             object.__setattr__(

@@ -72,6 +72,8 @@ class SimConfig:
             raise ValueError("minority_prob must lie in (0, 1)")
         if self.noise_sd <= 0 or self.label_noise_var < 0:
             raise ValueError("noise_sd must be positive and label_noise_var non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         for name in ("group_means", "label_weights"):
             shape = as_matrix(getattr(self, name), name).shape
             if shape != (2, 2):

@@ -1,13 +1,15 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from fairaudit import attack, sim
-from fairaudit.dataset import write_csv
+from fairaudit import attack, inference, sim
+from fairaudit.dataset import split_csv, write_csv
 from fairaudit.fair_metric import FairMetric
-from fairaudit.models import LogisticModel, expit, logit
+from fairaudit.models import LogisticModel, TrainConfig, expit, logit
 
 
 def csv_text(tmp_path, header, rows) -> str:
@@ -551,3 +553,47 @@ class TestStackedRatioFold:
         assert len(cells) == 4
         for c in cells:
             assert c.divergent is True and c.reject is False and math.isnan(c.t_n)
+
+
+_ALPHA = {"alpha": inference.DEFAULT_ALPHA}
+_LEVELS = {**_ALPHA, "delta": inference.DEFAULT_DELTA}
+_STEPS = {f.name: f.default for f in dataclasses.fields(attack.AttackConfig)}
+# each library default of a level or step setting, and the value of its owner: the levels are
+# owned by inference, the step settings by AttackConfig's fields and the audit's lam by audit_preset
+_OWNED_DEFAULTS = {
+    inference.audit: _LEVELS,
+    sim.sweep_heatmap: _LEVELS,
+    sim.stopping_time_sweep: {"lam": attack.audit_preset().lam, "eta": attack.audit_preset().eta, **_ALPHA},
+    sim.coverage_experiment: _ALPHA,
+    sim.rejection_rate_experiment: _ALPHA,
+    attack.constant_config_for_horizon: {"eta": _STEPS["eta"]},
+}
+
+
+@pytest.mark.parametrize("function", _OWNED_DEFAULTS, ids=lambda f: f"{f.__module__.rsplit('.', 1)[-1]}.{f.__name__}")
+def test_library_defaults_match_their_owners(function):
+    params = inspect.signature(function).parameters
+    owners = _OWNED_DEFAULTS[function]
+    assert repr({name: params[name].default for name in owners}) == repr(owners)
+
+
+def _two_row_csv(tmp_path) -> str:
+    path = tmp_path / "data.csv"
+    path.write_text("x,label\n0.5,0\n1.5,1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp_path: TrainConfig(seed=-1),
+        lambda tmp_path: sim.SimConfig(seed=-1),
+        lambda tmp_path: split_csv(_two_row_csv(tmp_path), tmp_path / "train.csv", tmp_path / "audit.csv", 0.5, -1),
+    ],
+    ids=["TrainConfig", "SimConfig", "split_csv"],
+)
+def test_negative_seed_raises_naming_it(tmp_path, make):
+    # numpy's own error ("expected non-negative integer") would not say which setting is wrong
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        make(tmp_path)
+    assert not (tmp_path / "train.csv").exists()
