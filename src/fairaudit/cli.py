@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fair_metric, inference, sim
 # bench/traced_cli.py patches the ``unfair_map`` binding of this module
-from .attack import AttackConfig, DivergenceError, audit_preset, sim_preset, unfair_map  # noqa: F401
+from .attack import AttackConfig, AttackTrace, DivergenceError, audit_preset, sim_preset, unfair_map  # noqa: F401
 from .dataset import _expect, _read_json_object, _Stream, atomic_write_text, load_csv, save_csv, split_csv, write_csv
 from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
 from .inference import NoBaselineErrors
@@ -261,24 +261,31 @@ def run_audit(cfg: dict) -> int:
     model = load_model(cfg["model"])
     metric = load_metric(cfg["metric"])
     ds = _load_dataset(cfg)
+    attack_cfg = _build(AttackConfig, cfg)
+    # a traced audit keeps every state of its one attack, divergent rows included
+    states = None if cfg["trace_output"] is None else np.empty((attack_cfg.num_steps + 1, *ds.features.shape))
     report = inference.audit(
         model,
         metric,
-        _build(AttackConfig, cfg),
+        attack_cfg,
         ds.features,
         ds.labels,
         alpha=cfg["alpha"],
         delta=cfg["delta"],
         skip_divergent=cfg["skip_divergent"],
         include_error_rate=cfg["error_rate"],
-        record_trace=cfg["trace_output"] is not None,
+        on_step=None if states is None else states.__setitem__,
     )
     atomic_write_text(cfg["report_output"], report.to_json(extra={"config": cfg}))
     if cfg["samples_output"] is not None:
         rows = list(zip(report.index, report.ratios, report.pre01, report.post01))
         write_csv(cfg["samples_output"], ["index", "ratio", "pre01", "post01"], rows)
-    if report.trace is not None:
-        _write_trace(cfg["trace_output"], report.index, report.trace)
+    if states is not None:
+        idx = report.index
+        if idx.size < ds.n:
+            states = states[:, idx]  # a copy only to drop rows
+        trace = AttackTrace.record(model, metric, attack_cfg, states, ds.features[idx], ds.labels[idx])
+        _write_trace(cfg["trace_output"], idx, trace)
     verdict = "reject" if report.reject else "fail to reject"
     print(f"audit: n={report.n} s_n={report.s_n:.6g} t_n={report.t_n:.6g} delta={report.delta} -> {verdict}")
     return EXIT_REJECT if report.reject else EXIT_OK

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attack import AttackConfig, AttackTrace, unfair_map_batch
+from .attack import AttackConfig, unfair_map_batch
 from .dataset import json_text
 from .fair_metric import FairMetric
 from .linalg import fields_equal
@@ -201,7 +201,7 @@ def error_rate_test(post, pre, alpha: float, delta: float) -> tuple[float, bool]
 
 
 # the fields behind the statistics, which the report file leaves out
-_PER_SAMPLE_FIELDS = ("index", "ratios", "pre01", "post01", "trace")
+_PER_SAMPLE_FIELDS = ("index", "ratios", "pre01", "post01")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +209,8 @@ class AuditReport:
     """Everything an audit produces, plus the per-sample values behind it.
 
     ``index`` holds the original positions of the audited samples (dropped
-    divergent samples are listed in ``divergent``), ``trace`` their recorded
-    attack if any.  The serialized form keeps only the aggregate statistics.
+    divergent samples are listed in ``divergent``).  The serialized form
+    keeps only the aggregate statistics.
     """
 
     n: int
@@ -230,7 +230,6 @@ class AuditReport:
     ratios: np.ndarray
     pre01: np.ndarray
     post01: np.ndarray
-    trace: AttackTrace | None = None
 
     __eq__ = fields_equal
 
@@ -259,7 +258,7 @@ def audit(
     delta: float = DEFAULT_DELTA,
     skip_divergent: bool = False,
     include_error_rate: bool = True,
-    record_trace: bool = False,
+    on_step=None,
 ) -> AuditReport:
     """Attack every sample and assemble the full audit report.
 
@@ -271,14 +270,13 @@ def audit(
     test raises ``NoBaselineErrors`` naming the dropped rows.  The caller
     is responsible for auditing on data the model was not trained on; the
     report carries that obligation as a note.
-    ``record_trace`` keeps every step of this same attack on the audited
-    samples as the report's ``trace``.
+    ``on_step`` is passed to the attack unchanged: it sees every state of
+    the full batch, rows later dropped for divergence included, and the
+    report's ``index`` names the rows that were kept.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     check_levels(alpha, delta)
-    states = np.empty((attack_cfg.num_steps + 1, *x.shape)) if record_trace else None
-    on_step = None if states is None else states.__setitem__
     attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x, y, skip_divergent=skip_divergent, on_step=on_step)
 
     keep = np.ones(x.shape[0], dtype=bool)
@@ -301,10 +299,6 @@ def audit(
     fold = fold_ratios(ratios, alpha, delta)
     error_rate = error_rate_report(post01, pre01, alpha, delta) if include_error_rate else None
 
-    if record_trace and idx.size < x.shape[0]:
-        states = states[:, idx]  # a copy only to drop rows
-    trace = None if states is None else AttackTrace.record(model, metric, attack_cfg, states, x[idx], y[idx])
-
     return AuditReport(
         **fold._asdict(),
         ci_one_sided_lo=fold.t_n,
@@ -317,5 +311,4 @@ def audit(
         ratios=np.asarray(ratios),
         pre01=pre01,
         post01=post01,
-        trace=trace,
     )

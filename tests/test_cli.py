@@ -757,7 +757,7 @@ FIXED_RESULTS = {
     }),
     "audit": (inference, {"audit": lambda *a, **k: SimpleNamespace(
         index=np.array([0, 3, 7]), ratios=np.array([1.0, 0.1, 1e-17]), pre01=np.array([0, 1, 1]),
-        post01=np.array([1, 1, 0]), trace=None, reject=False, n=3, s_n=1.0, t_n=NAN, delta=1.25,
+        post01=np.array([1, 1, 0]), reject=False, n=3, s_n=1.0, t_n=NAN, delta=1.25,
         to_json=lambda extra: "{}\n",
     )}),
 }
@@ -928,10 +928,10 @@ class TestJsonArtifacts:
             horizon=0.5,
         )
         report = SimpleNamespace(
-            index=np.array([0, 3]), trace=trace, reject=False, n=2, s_n=1.0, t_n=0.5, delta=1.25,
-            to_json=lambda extra: "{}\n",
+            index=np.array([0, 3]), reject=False, n=2, s_n=1.0, t_n=0.5, delta=1.25, to_json=lambda extra: "{}\n"
         )
         monkeypatch.setattr(inference, "audit", lambda *a, **k: report)
+        monkeypatch.setattr(AttackTrace, "record", lambda *a, **k: trace)
         model = write_config(tmp_path, "model.json", TestModelAndMetricFileTypes.LOGISTIC)
         cfg = audit_config(tmp_path, model, metric_file, sim_csv, trace_output=str(tmp_path / "trace.jsonl"))
         assert cli.main(["audit", "--config", cfg]) == cli.EXIT_OK

@@ -7,7 +7,7 @@ from scipy.special import ndtri
 
 import helpers
 from fairaudit import inference, sim
-from fairaudit.attack import AttackConfig, audit_preset, sim_preset
+from fairaudit.attack import AttackConfig, AttackTrace, audit_preset, sim_preset
 from fairaudit.fair_metric import FairMetric, rotated_coordinate_metric
 from fairaudit.inference import (
     NoBaselineErrors,
@@ -418,26 +418,28 @@ class TestAudit:
             audit(unfair_sim_model, rotated_coordinate_metric(0.0), sim_preset(), x, y)
 
     def test_traced_report_equality_and_serialized_form(self, sim_dataset, unfair_sim_model):
+        """An observer sees each state of the audit's one attack and leaves the report as it is."""
         metric = rotated_coordinate_metric(0.0)
         cfg = dataclasses.replace(sim_preset(), num_steps=40)
         x, y = sim_dataset.features[:60], sim_dataset.labels[:60]
         plain = audit(unfair_sim_model, metric, cfg, x, y)
-        r1 = audit(unfair_sim_model, metric, cfg, x, y, record_trace=True)
-        r2 = audit(unfair_sim_model, metric, cfg, x, y, record_trace=True)
-        assert plain.trace is None
-        assert r1.trace.iterates.shape == (41, 60, 2) and r1.trace.losses.shape == (41, 60)
-        assert r1 == r2
-        assert r1 != plain and plain != r1
-        assert r1 == dataclasses.replace(plain, trace=r2.trace)
-        bumped = dataclasses.replace(r2.trace, losses=r2.trace.losses * 2.0)
-        assert r1 != dataclasses.replace(r2, trace=bumped)
-        assert r1.to_json() == plain.to_json()
-        assert r1.to_json(extra={"config": {"k": 1}}) == plain.to_json(extra={"config": {"k": 1}})
+        calls = []
+        observed = audit(unfair_sim_model, metric, cfg, x, y, on_step=lambda k, xk: calls.append((k, xk.copy())))
+        assert [(k, xk.shape) for k, xk in calls] == [(k, (60, 2)) for k in range(41)]
+        assert observed.index.tolist() == list(range(60))
+        assert_array_equal(calls[0][1], x)
+        trace = AttackTrace.record(unfair_sim_model, metric, cfg, np.array([xk for _, xk in calls]), x, y)
+        assert_array_equal(trace.losses[-1] / trace.losses[0], observed.ratios)
+        assert "trace" not in {f.name for f in dataclasses.fields(observed)}
+        assert observed == plain and not observed != plain
+        assert observed != dataclasses.replace(plain, ratios=plain.ratios * 2.0)
+        assert observed.to_json() == plain.to_json()
+        assert observed.to_json(extra={"config": {"k": 1}}) == plain.to_json(extra={"config": {"k": 1}})
         with pytest.raises(TypeError):
-            hash(r1)
+            hash(observed)
 
     def test_trace_is_the_audits_own_attack_on_surviving_rows(self, monkeypatch):
-        """Rows dropped for divergence leave the trace; the rest are the audit's own states, bitwise."""
+        """The observer sees the divergent rows too; the kept columns are the audit's own states, bitwise."""
         rng = np.random.default_rng(5)
         x = rng.normal(size=(12, 3))
         x[:5, 0] = np.abs(x[:5, 0])  # these rows start right of the origin and blow up
@@ -448,21 +450,25 @@ class TestAudit:
                 return np.full(len(xs), 0.5)
 
         stub = Stub(k=100.0)
+        metric = FairMetric(sigma=np.eye(3))
         cfg = AttackConfig(lam=0.01, num_steps=400, schedule="constant", eta=0.05)
         results = []
         attack_fn = inference.unfair_map_batch
         monkeypatch.setattr(inference, "unfair_map_batch", lambda *a, **k: results.append(attack_fn(*a, **k)) or results[-1])
+        states = np.full((401, 12, 3), np.nan)
         report = audit(
-            stub, FairMetric(sigma=np.eye(3)), cfg, x, y, skip_divergent=True, include_error_rate=False, record_trace=True
+            stub, metric, cfg, x, y, skip_divergent=True, include_error_rate=False, on_step=states.__setitem__
         )
         assert len(results) == 1
         attacked, divergent = results[0][:2]
         assert divergent == [0, 1, 2, 3, 4]
         assert report.index.tolist() == list(range(5, 12))
-        trace = report.trace
-        assert trace.iterates.shape == (401, 7, 3)
-        assert_array_equal(trace.iterates[0], x[report.index])
-        assert_array_equal(trace.iterates[-1], attacked[report.index])
+        assert np.isfinite(states).all()
+        assert_array_equal(states[-1], attacked)
+        kept = states[:, report.index]
+        assert_array_equal(kept[0], x[report.index])
+        assert_array_equal(kept[-1], attacked[report.index])
+        trace = AttackTrace.record(stub, metric, cfg, kept, x[report.index], y[report.index])
         assert_array_equal(trace.losses[-1] / trace.losses[0], report.ratios)
         assert_array_equal(trace.penalties[0], np.zeros(7))
         assert_array_equal(trace.step_sizes, cfg.step_sizes())
