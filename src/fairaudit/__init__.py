@@ -43,12 +43,14 @@ from fairaudit.inference import (
 )
 from fairaudit.models import LogisticModel, MlpModel, TrainConfig, load_model, save_model, train
 from fairaudit.sim import (
+    CalibrationSpec,
     GridSpec,
     HeatmapCell,
     RatioPopulation,
     SimConfig,
     average_odds_difference,
     balanced_accuracy,
+    calibrate,
     coverage_experiment,
     fit_bias,
     generate,

@@ -148,14 +148,8 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "output": _Key(str, required=True),
     },
     "calibrate": {
-        "n": _Key(int, default=500),
-        "coverage_replicates": _Key(int, default=1000),
-        "replicates": _Key(int, default=200),
+        **_keys(sim.CalibrationSpec()),
         **_LEVELS,
-        "coverage_mean": _Key(float, default=2.0),
-        "sd": _Key(float, default=0.5),
-        "shape": _Key(float, default=4.0),
-        "seed": _Key(int, default=1),
         "output": _Key(str, required=True),
     },
 }
@@ -354,36 +348,10 @@ def run_robustness(cfg: dict) -> int:
 
 
 def run_calibrate(cfg: dict) -> int:
-    n, alpha, delta, sd, shape, seed = (cfg[k] for k in ("n", "alpha", "delta", "sd", "shape", "seed"))
-    coverage, _ = sim.coverage_experiment(
-        sim.RatioPopulation(mean=cfg["coverage_mean"], sd=sd, shape=shape),
-        n=n,
-        replicates=cfg["coverage_replicates"],
-        alpha=alpha,
-        seed=seed,
-    )
-    type1 = sim.rejection_rate_experiment(
-        sim.RatioPopulation(mean=delta, sd=sd, shape=shape),
-        delta,
-        n=n,
-        replicates=cfg["replicates"],
-        alpha=alpha,
-        seed=seed + 1,
-        name="type1",
-    )
-    power = sim.rejection_rate_experiment(
-        sim.RatioPopulation(mean=delta + 5.0 * sd / math.sqrt(n), sd=sd, shape=shape),
-        delta,
-        n=n,
-        replicates=cfg["replicates"],
-        alpha=alpha,
-        seed=seed + 2,
-        name="power",
-    )
-    write_csv(cfg["output"], sim.CalibrationResult._fields, [coverage, type1, power])
-    print(
-        f"calibrate: coverage={coverage.rate:.3f} type1={type1.rate:.3f} power={power.rate:.3f} -> {cfg['output']}"
-    )
+    results = sim.calibrate(_build(sim.CalibrationSpec, cfg), alpha=cfg["alpha"], delta=cfg["delta"])
+    write_csv(cfg["output"], sim.CalibrationResult._fields, results)
+    rates = " ".join(f"{r.experiment}={r.rate:.3f}" for r in results)
+    print(f"calibrate: {rates} -> {cfg['output']}")
     return EXIT_OK
 
 

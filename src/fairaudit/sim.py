@@ -405,6 +405,31 @@ def average_odds_difference(y_true, y_pred, group) -> float:
 
 
 @dataclass(frozen=True)
+class CalibrationSpec:
+    """Sizes, populations and seed of the coverage, Type I and power experiments.
+
+    Coverage is checked on a population with mean ``coverage_mean``, Type I
+    error at the test's ``delta`` and power five standard errors above it;
+    the three populations share ``sd`` and ``shape`` and draw from seeds
+    ``seed``, ``seed + 1`` and ``seed + 2``.
+    """
+
+    n: int = 500
+    coverage_replicates: int = 1000
+    replicates: int = 200
+    coverage_mean: float = 2.0
+    sd: float = 0.5
+    shape: float = 4.0
+    seed: int = 1
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2, got {self.n!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+
+
+@dataclass(frozen=True)
 class RatioPopulation:
     """Synthetic loss-ratio population: a shifted gamma with known mean and sd.
 
@@ -414,14 +439,17 @@ class RatioPopulation:
     """
 
     mean: float
-    sd: float = 0.5
-    shape: float = 4.0
+    sd: float = CalibrationSpec.sd
+    shape: float = CalibrationSpec.shape
 
     def __post_init__(self):
         if self.sd <= 0 or self.shape <= 0:
-            raise ValueError("sd and shape must be positive")
+            raise ValueError(f"population sd and shape must be positive, got sd {self.sd!r} and shape {self.shape!r}")
         if self.mean - self.sd * math.sqrt(self.shape) < 0:
-            raise ValueError("population support would include negative ratios")
+            raise ValueError(
+                "population support would include negative ratios:"
+                f" mean {self.mean!r} - sd {self.sd!r} * sqrt(shape {self.shape!r}) < 0"
+            )
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         scale = self.sd / math.sqrt(self.shape)
@@ -441,7 +469,11 @@ class CalibrationResult(NamedTuple):
 
 
 def coverage_experiment(
-    pop: RatioPopulation, n: int = 500, replicates: int = 1000, alpha: float = inference.DEFAULT_ALPHA, seed: int = 1
+    pop: RatioPopulation,
+    n: int = CalibrationSpec.n,
+    replicates: int = CalibrationSpec.coverage_replicates,
+    alpha: float = inference.DEFAULT_ALPHA,
+    seed: int = CalibrationSpec.seed,
 ) -> tuple[CalibrationResult, float]:
     """Fraction of two-sided intervals covering the oracle mean."""
     if replicates < 1:
@@ -459,10 +491,10 @@ def coverage_experiment(
 def rejection_rate_experiment(
     pop: RatioPopulation,
     delta: float,
-    n: int = 500,
-    replicates: int = 200,
+    n: int = CalibrationSpec.n,
+    replicates: int = CalibrationSpec.replicates,
     alpha: float = inference.DEFAULT_ALPHA,
-    seed: int = 2,
+    seed: int = CalibrationSpec.seed + 1,
     name: str = "type1",
 ) -> CalibrationResult:
     """Fraction of replicates on which the one-sided test rejects at ``delta``."""
@@ -474,3 +506,25 @@ def rejection_rate_experiment(
         _, reject = inference.loss_ratio_test(pop.sample(rng, n), alpha, delta)
         rejections += int(reject)
     return CalibrationResult(name, n, replicates, rejections / replicates)
+
+
+def calibrate(
+    spec: CalibrationSpec, alpha: float = inference.DEFAULT_ALPHA, delta: float = inference.DEFAULT_DELTA
+) -> list[CalibrationResult]:
+    """The coverage, Type I and power experiments of ``spec`` for the test at ``alpha`` and ``delta``."""
+    means = {"coverage": spec.coverage_mean, "type1": delta, "power": delta + 5.0 * spec.sd / math.sqrt(spec.n)}
+    pops = {}
+    for name, mean in means.items():
+        try:
+            pops[name] = RatioPopulation(mean=mean, sd=spec.sd, shape=spec.shape)
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+    coverage, _ = coverage_experiment(
+        pops["coverage"], n=spec.n, replicates=spec.coverage_replicates, alpha=alpha, seed=spec.seed
+    )
+    return [coverage] + [
+        rejection_rate_experiment(
+            pops[name], delta, n=spec.n, replicates=spec.replicates, alpha=alpha, seed=spec.seed + k, name=name
+        )
+        for k, name in ((1, "type1"), (2, "power"))
+    ]

@@ -315,6 +315,28 @@ class TestAuditCommand:
         rec = json.loads(lines[0])
         assert rec["step"] == 0 and rec["sample"] == 0 and "loss" in rec and "penalty" in rec
 
+    def test_trace_output_keeps_the_audited_rows_when_some_diverge(self, tmp_path):
+        data = tmp_path / "data.csv"
+        simulate = write_config(tmp_path, "s.json", {"n_samples": 100, "seed": 1, "data_output": str(data)})
+        assert cli.main(["simulate", "--config", simulate]) == 0
+        model = tmp_path / "model.json"
+        save_model(LogisticModel(weights=np.array([4.0, 1.5]), bias=0.0), model)
+        metric = write_config(tmp_path, "identity.json", {"dim": 2, "sigma": [[1.0, 0.0], [0.0, 1.0]]})
+        cfg = audit_config(
+            tmp_path, str(model), metric, str(data), lam=1.0, num_steps=20, eta=1.5, skip_divergent=True,
+            error_rate=False, samples_output=str(tmp_path / "samples.csv"), trace_output=str(tmp_path / "trace.jsonl"),
+        )
+        assert cli.main(["audit", "--config", cfg]) in (0, 3)
+        samples = [row.split(",") for row in (tmp_path / "samples.csv").read_text().splitlines()[1:]]
+        index = [int(row[0]) for row in samples]
+        assert len(index) == 52
+        records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+        assert [(r["sample"], r["step"]) for r in records] == [(i, k) for i in index for k in range(21)]
+        features = np.loadtxt(data, delimiter=",", skiprows=1, usecols=(0, 1))
+        assert [r["x"] for r in records[::21]] == features[index].tolist()
+        losses = np.array([r["loss"] for r in records]).reshape(len(index), 21)
+        np.testing.assert_array_equal(losses[:, -1] / losses[:, 0], [float(row[1]) for row in samples])
+
     def test_no_baseline_errors_after_skipping_exits_10_naming_the_dropped_rows(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         simulate = write_config(tmp_path, "s.json", {"n_samples": 100, "seed": 1, "data_output": str(data)})
@@ -489,6 +511,35 @@ class TestCalibrateCommand:
         assert lines[0] == "experiment,n,replicates,rate"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["coverage", "type1", "power"]
 
+
+    def test_default_output(self, tmp_path, capsys):
+        # the rates every default setting gives, so a drift in any of them shows here
+        cfg = write_config(tmp_path, "cal.json", {"output": str(tmp_path / "cal.csv")})
+        assert cli.main(["calibrate", "--config", cfg]) == cli.EXIT_OK
+        assert (tmp_path / "cal.csv").read_text() == (
+            "experiment,n,replicates,rate\ncoverage,500,1000,0.942\ntype1,500,200,0.055\npower,500,200,1.0\n"
+        )
+        assert capsys.readouterr().out == f"calibrate: coverage=0.942 type1=0.055 power=1.000 -> {tmp_path / 'cal.csv'}\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n", 1, "n must be at least 2, got 1"),
+            ("sd", 1.0, "type1 population support would include negative ratios: mean 1.25 - sd 1.0 * sqrt(shape 4.0) < 0"),
+            ("shape", 9.0, "type1 population support would include negative ratios: mean 1.25 - sd 0.5 * sqrt(shape 9.0) < 0"),
+            (
+                "coverage_mean",
+                0.5,
+                "coverage population support would include negative ratios: mean 0.5 - sd 0.5 * sqrt(shape 4.0) < 0",
+            ),
+        ],
+        ids=["n", "sd", "shape", "coverage_mean"],
+    )
+    def test_bad_setting_exits_10_naming_its_cause(self, tmp_path, capsys, key, value, message):
+        cfg = write_config(tmp_path, "cal.json", {key: value, "output": str(tmp_path / "cal.csv")})
+        assert cli.main(["calibrate", "--config", cfg]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"fairaudit calibrate: error: {message}\n"
+        assert not (tmp_path / "cal.csv").exists()
 
     @pytest.mark.parametrize("key, name", [("coverage_replicates", "coverage"), ("replicates", "type1")])
     @pytest.mark.parametrize("count", [0, -3])

@@ -558,14 +558,22 @@ class TestStackedRatioFold:
 _ALPHA = {"alpha": inference.DEFAULT_ALPHA}
 _LEVELS = {**_ALPHA, "delta": inference.DEFAULT_DELTA}
 _STEPS = {f.name: f.default for f in dataclasses.fields(attack.AttackConfig)}
+_CALIBRATION = sim.CalibrationSpec()
 # each library default of a level or step setting, and the value of its owner: the levels are
-# owned by inference, the step settings by AttackConfig's fields and the audit's lam by audit_preset
+# owned by inference, the step settings by AttackConfig's fields, the audit's lam by audit_preset and
+# the calibration settings by CalibrationSpec's fields (the Type I experiment draws from its seed + 1)
 _OWNED_DEFAULTS = {
     inference.audit: _LEVELS,
     sim.sweep_heatmap: _LEVELS,
     sim.stopping_time_sweep: {"lam": attack.audit_preset().lam, "eta": attack.audit_preset().eta, **_ALPHA},
-    sim.coverage_experiment: _ALPHA,
-    sim.rejection_rate_experiment: _ALPHA,
+    sim.coverage_experiment: {
+        "n": _CALIBRATION.n, "replicates": _CALIBRATION.coverage_replicates, **_ALPHA, "seed": _CALIBRATION.seed
+    },
+    sim.rejection_rate_experiment: {
+        "n": _CALIBRATION.n, "replicates": _CALIBRATION.replicates, **_ALPHA, "seed": _CALIBRATION.seed + 1
+    },
+    sim.RatioPopulation: {"sd": _CALIBRATION.sd, "shape": _CALIBRATION.shape},
+    sim.calibrate: _LEVELS,
     attack.constant_config_for_horizon: {"eta": _STEPS["eta"]},
 }
 
@@ -588,9 +596,10 @@ def _two_row_csv(tmp_path) -> str:
     [
         lambda tmp_path: TrainConfig(seed=-1),
         lambda tmp_path: sim.SimConfig(seed=-1),
+        lambda tmp_path: sim.CalibrationSpec(seed=-1),
         lambda tmp_path: split_csv(_two_row_csv(tmp_path), tmp_path / "train.csv", tmp_path / "audit.csv", 0.5, -1),
     ],
-    ids=["TrainConfig", "SimConfig", "split_csv"],
+    ids=["TrainConfig", "SimConfig", "CalibrationSpec", "split_csv"],
 )
 def test_negative_seed_raises_naming_it(tmp_path, make):
     # numpy's own error ("expected non-negative integer") would not say which setting is wrong
