@@ -511,7 +511,6 @@ class TestCalibrateCommand:
         assert lines[0] == "experiment,n,replicates,rate"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["coverage", "type1", "power"]
 
-
     def test_default_output(self, tmp_path, capsys):
         # the rates every default setting gives, so a drift in any of them shows here
         cfg = write_config(tmp_path, "cal.json", {"output": str(tmp_path / "cal.csv")})
