@@ -22,16 +22,18 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import fair_metric, inference, sim
-# bench/traced_cli.py patches the ``unfair_map`` binding of this module
+from . import fair_metric
+
+# ``inference``, ``sim`` and ``synthetic`` are imported by the commands that run them, so each command
+# loads only its own modules; bench/traced_cli.py wraps the names bound below, such as ``unfair_map``
 from .attack import AttackConfig, AttackTrace, DivergenceError, audit_preset, sim_preset, unfair_map  # noqa: F401
 from .dataset import _expect, _read_json_object, _Stream, atomic_write_text, load_csv, save_csv, split_csv, write_csv
 from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
-from .inference import NoBaselineErrors
 from .linalg import DEFAULT_RANK_TOL
 from .models import TrainConfig, load_model, save_model, train
 
@@ -75,17 +77,34 @@ _DATA_KEYS = {
     "standardize": _Key(bool, default=False),
 }
 
-_LEVELS = {"alpha": _Key(float, default=inference.DEFAULT_ALPHA), "delta": _Key(float, default=inference.DEFAULT_DELTA)}
 
-_SCHEMAS: dict[str, dict[str, _Key]] = {
-    "split": {
+def _lib(name: str):
+    """The package module ``name``, imported by the first command that needs it.
+
+    ``-X importtime`` logs the loads of ``__import__`` and ``from .module import name``, the forms every
+    deferred import here uses, but not those of ``from . import module`` or ``importlib.import_module``.
+    """
+    return getattr(__import__(f"{__package__}.{name}"), name)
+
+
+def _levels(*names) -> dict[str, _Key]:
+    """The named level keys (all with no names), defaulting to ``inference``'s levels."""
+    from .inference import DEFAULT_ALPHA, DEFAULT_DELTA
+
+    levels = {"alpha": _Key(float, default=DEFAULT_ALPHA), "delta": _Key(float, default=DEFAULT_DELTA)}
+    return {name: levels[name] for name in names or levels}
+
+
+# each command's config keys, built when its config is parsed
+_SCHEMAS: dict[str, Callable[[], dict[str, _Key]]] = {
+    "split": lambda: {
         "input": _Key(str, required=True),
         "train_output": _Key(str, required=True),
         "audit_output": _Key(str, required=True),
         "train_fraction": _Key(float, default=0.8),
         "seed": _Key(int, default=0),
     },
-    "train": {
+    "train": lambda: {
         **_DATA_KEYS,
         "architecture": _Key(str, default="logistic"),
         # the CLI's one departure from a library default: it trains with class reweighting
@@ -93,7 +112,7 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "projector_metric": _Key(str, default=None),
         "model_output": _Key(str, required=True),
     },
-    "metric": {
+    "metric": lambda: {
         "type": _Key(str, default="learned"),
         "data": _Key(str, default=None),
         "label_column": _Key(str, default=None),
@@ -104,41 +123,41 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "beta_degrees": _Key(float, default=None),
         "metric_output": _Key(str, required=True),
     },
-    "audit": {
+    "audit": lambda: {
         "model": _Key(str, required=True),
         "metric": _Key(str, required=True),
         **_DATA_KEYS,
         **_keys(audit_preset()),
-        **_LEVELS,
+        **_levels(),
         "skip_divergent": _Key(bool, default=False),
         "error_rate": _Key(bool, default=True),
         "report_output": _Key(str, required=True),
         "samples_output": _Key(str, default=None),
         "trace_output": _Key(str, default=None),
     },
-    "simulate": {
-        **_keys(sim.SimConfig()),
+    "simulate": lambda: {
+        **_keys(_lib("synthetic").SimConfig()),
         "data_output": _Key(str, required=True),
     },
-    "sweep": {
+    "sweep": lambda: {
         **_DATA_KEYS,
         **_keys(sim_preset()),
         "beta_degrees": _Key(float, default=0.0),
-        **_LEVELS,
+        **_levels(),
         **{f"{axis}_{end}": _Key(float, default=value)
-           for axis in ("w1", "w2") for end, value in zip(("min", "max", "step"), sim.SWEEP_GRID)},
+           for axis in ("w1", "w2") for end, value in zip(("min", "max", "step"), _lib("sim").SWEEP_GRID)},
         "output": _Key(str, required=True),
     },
-    "stopping-sweep": {
+    "stopping-sweep": lambda: {
         "model": _Key(str, required=True),
         "metric": _Key(str, required=True),
         **_DATA_KEYS,
         **_keys(audit_preset(), "lam", "eta"),
         "horizons": _Key([float], required=True),
-        "alpha": _LEVELS["alpha"],
+        **_levels("alpha"),
         "output": _Key(str, required=True),
     },
-    "robustness": {
+    "robustness": lambda: {
         "model": _Key(str, required=True),
         "metric": _Key(str, required=True),
         **_DATA_KEYS,
@@ -147,16 +166,16 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "perturb_seed": _Key(int, default=0),
         "output": _Key(str, required=True),
     },
-    "calibrate": {
-        **_keys(sim.CalibrationSpec()),
-        **_LEVELS,
+    "calibrate": lambda: {
+        **_keys(_lib("sim").CalibrationSpec()),
+        **_levels(),
         "output": _Key(str, required=True),
     },
 }
 
 def _parse_config(path, command: str) -> dict:
     doc = _read_json_object(path, f"{command} config")
-    schema = _SCHEMAS[command]
+    schema = _SCHEMAS[command]()
     unknown = sorted(set(doc) - set(schema))
     if unknown:
         raise ValueError(f"{command}: unknown config keys {unknown}")
@@ -173,7 +192,9 @@ def _parse_config(path, command: str) -> dict:
         if key.endswith("seed") and out[key] < 0:
             raise ValueError(f"{command}: config key {key!r} must be non-negative, got {out[key]!r}")
     if "alpha" in out:
-        inference.check_levels(out["alpha"], out.get("delta"))
+        from .inference import check_levels
+
+        check_levels(out["alpha"], out.get("delta"))
     return out
 
 
@@ -252,13 +273,15 @@ def _write_trace(path, index, trace) -> None:
 
 
 def run_audit(cfg: dict) -> int:
+    from .inference import audit
+
     model = load_model(cfg["model"])
     metric = load_metric(cfg["metric"])
     ds = _load_dataset(cfg)
     attack_cfg = _build(AttackConfig, cfg)
     # a traced audit keeps every state of its one attack, divergent rows included
     states = None if cfg["trace_output"] is None else np.empty((attack_cfg.num_steps + 1, *ds.features.shape))
-    report = inference.audit(
+    report = audit(
         model,
         metric,
         attack_cfg,
@@ -286,35 +309,41 @@ def run_audit(cfg: dict) -> int:
 
 
 def run_simulate(cfg: dict) -> int:
-    ds = sim.generate(_build(sim.SimConfig, cfg))
+    from .synthetic import SimConfig, generate
+
+    ds = generate(_build(SimConfig, cfg))
     save_csv(ds, cfg["data_output"])
     print(f"simulate: wrote {ds.n} samples to {cfg['data_output']}")
     return EXIT_OK
 
 
 def run_sweep(cfg: dict) -> int:
+    from .sim import GridSpec, HeatmapCell, sweep_heatmap
+
     ds = _load_dataset(cfg)
     if ds.features.shape[1] != 2:
         raise ValueError("sweep: expects 2-D features (declare extra columns as protected)")
     metric = rotated_coordinate_metric(math.radians(cfg["beta_degrees"]))
-    grid = sim.GridSpec(
-        w1_values=sim.GridSpec.from_range(cfg["w1_min"], cfg["w1_max"], cfg["w1_step"]),
-        w2_values=sim.GridSpec.from_range(cfg["w2_min"], cfg["w2_max"], cfg["w2_step"]),
+    grid = GridSpec(
+        w1_values=GridSpec.from_range(cfg["w1_min"], cfg["w1_max"], cfg["w1_step"]),
+        w2_values=GridSpec.from_range(cfg["w2_min"], cfg["w2_max"], cfg["w2_step"]),
     )
-    cells = sim.sweep_heatmap(
+    cells = sweep_heatmap(
         ds.features, ds.labels, grid, metric, _build(AttackConfig, cfg), alpha=cfg["alpha"], delta=cfg["delta"]
     )
-    write_csv(cfg["output"], sim.HeatmapCell._fields, cells)
+    write_csv(cfg["output"], HeatmapCell._fields, cells)
     n_reject = sum(c.reject for c in cells)
     print(f"sweep: {len(cells)} cells ({n_reject} rejected) -> {cfg['output']}")
     return EXIT_OK
 
 
 def run_stopping_sweep(cfg: dict) -> int:
+    from .sim import stopping_time_sweep
+
     model = load_model(cfg["model"])
     metric = load_metric(cfg["metric"])
     ds = _load_dataset(cfg)
-    rows = sim.stopping_time_sweep(
+    rows = stopping_time_sweep(
         model,
         metric,
         ds.features,
@@ -330,10 +359,12 @@ def run_stopping_sweep(cfg: dict) -> int:
 
 
 def run_robustness(cfg: dict) -> int:
+    from .sim import robustness_experiment
+
     model = load_model(cfg["model"])
     metric = load_metric(cfg["metric"])
     ds = _load_dataset(cfg)
-    rows = sim.robustness_experiment(
+    rows = robustness_experiment(
         model,
         metric,
         cfg["scales"],
@@ -348,8 +379,10 @@ def run_robustness(cfg: dict) -> int:
 
 
 def run_calibrate(cfg: dict) -> int:
-    results = sim.calibrate(_build(sim.CalibrationSpec, cfg), alpha=cfg["alpha"], delta=cfg["delta"])
-    write_csv(cfg["output"], sim.CalibrationResult._fields, results)
+    from .sim import CalibrationResult, CalibrationSpec, calibrate
+
+    results = calibrate(_build(CalibrationSpec, cfg), alpha=cfg["alpha"], delta=cfg["delta"])
+    write_csv(cfg["output"], CalibrationResult._fields, results)
     rates = " ".join(f"{r.experiment}={r.rate:.3f}" for r in results)
     print(f"calibrate: {rates} -> {cfg['output']}")
     return EXIT_OK
@@ -380,7 +413,7 @@ def main(argv=None) -> int:
     try:
         cfg = _parse_config(args.config, args.command)
         return _RUNNERS[args.command](cfg)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError, DivergenceError, NoBaselineErrors) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError, DivergenceError) as exc:
         print(f"fairaudit {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

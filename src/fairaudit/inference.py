@@ -42,8 +42,8 @@ from .linalg import fields_equal
 INDEPENDENCE_NOTE = "audit data assumed independent of the model's training data"
 
 
-class NoBaselineErrors(RuntimeError):
-    """The model classifies every original sample correctly; the error-rates ratio is undefined."""
+class NoBaselineErrors(ValueError):
+    """No original sample is misclassified, so the error-rates ratio is undefined; the CLI reports it as bad input."""
 
 
 def normal_quantile(p: float) -> float:

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fairaudit import cli, inference, sim
+from fairaudit import cli, inference, sim, synthetic
 from fairaudit.attack import AttackTrace
 from fairaudit.dataset import Dataset
 from fairaudit.fair_metric import FairMetric, load_metric, save_metric
@@ -390,7 +390,7 @@ class TestSweepCommand:
         assert (tmp_path / "heatmap.csv").read_bytes() == first
 
     def test_default_grid_has_441_cells(self):
-        schema = cli._SCHEMAS["sweep"]
+        schema = cli._SCHEMAS["sweep"]()
         w1 = sim.GridSpec.from_range(schema["w1_min"].default, schema["w1_max"].default, schema["w1_step"].default)
         w2 = sim.GridSpec.from_range(schema["w2_min"].default, schema["w2_max"].default, schema["w2_step"].default)
         assert len(w1) * len(w2) == 441
@@ -789,7 +789,7 @@ class TestModelAndMetricFileTypes:
 NAN = float("nan")
 # what each command computes, replaced by fixed values so each CSV file pins only how cells are spelled
 FIXED_RESULTS = {
-    "simulate": (sim, {"generate": lambda cfg: Dataset(
+    "simulate": (synthetic, {"generate": lambda cfg: Dataset(
         feature_names=("x1", "x2"), features=[[0.1, -2.5], [1e-17, 3.0]], labels=[1, 0], protected={"group": [0, 1]}
     )}),
     "sweep": (sim, {"sweep_heatmap": lambda *a, **k: [

@@ -1,8 +1,12 @@
 """What importing the CLI loads: every command pays for it at start-up."""
 
+import importlib
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import fairaudit
 
@@ -32,3 +36,107 @@ def test_cli_import_skips_numpy_random_and_openssl():
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+# the names the package exported when it imported every module eagerly, by the module they came from
+EXPORTS = {
+    "attack": ["AttackConfig", "AttackTrace", "DivergenceError", "LinearFlowProblem", "StabilityProbe", "audit_preset",
+               "flow_field", "sim_preset", "stability_gap", "unfair_map", "unfair_map_batch"],
+    "dataset": ["Dataset", "load_csv", "save_csv", "split_csv"],
+    "fair_metric": ["FairMetric", "SubspaceSpec", "learn_sensitive_metric", "load_metric", "rotated_coordinate_metric",
+                    "save_metric"],
+    "inference": ["AuditReport", "NoBaselineErrors", "audit", "error_rate_stats", "error_rate_test", "loss_ratio_stats",
+                  "loss_ratio_test", "normal_quantile", "one_sided_lower_bound", "two_sided_ci"],
+    "models": ["LogisticModel", "MlpModel", "TrainConfig", "load_model", "save_model", "train"],
+    "sim": ["CalibrationSpec", "GridSpec", "HeatmapCell", "RatioPopulation", "SimConfig", "average_odds_difference",
+            "balanced_accuracy", "calibrate", "coverage_experiment", "fit_bias", "generate", "rejection_rate_experiment",
+            "robustness_experiment", "stopping_time_sweep", "sweep_heatmap"],
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+# what the CLI imports for every command: the modules behind the names bench/traced_cli.py wraps on it
+EAGER = ["fairaudit", "fairaudit.attack", "fairaudit.dataset", "fairaudit.fair_metric", "fairaudit.linalg", "fairaudit.models"]
+
+
+# the package's modules loaded when the interpreter exits, printed as its last line of output
+LOADED_AT_EXIT = (
+    "import atexit, sys; "
+    "atexit.register(lambda: print(' '.join(sorted(m for m in sys.modules if m.startswith('fairaudit')))))"
+)
+
+
+def _loaded_at_exit(code, *args, cwd=None) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", f"{LOADED_AT_EXIT}; {code}", *args], cwd=cwd, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode in (0, 3), out.stderr
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_at_exit("import fairaudit") == ["fairaudit"]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A small simulated CSV, a rotated metric and a logistic model, made in this process."""
+    from fairaudit import cli
+
+    d = tmp_path_factory.mktemp("inputs")
+    configs = {
+        "simulate": {"n_samples": 60, "data_output": "data.csv"},
+        "metric": {"type": "rotated", "beta_degrees": 0.0, "metric_output": "metric.json"},
+        "train": {"data": "data.csv", "label_column": "label", "protected_columns": ["group"], "num_steps": 5,
+                  "model_output": "model.json"},
+        "split": {"input": "data.csv", "train_output": "train.csv", "audit_output": "audit.csv"},
+        "audit": {"model": "model.json", "metric": "metric.json", "data": "data.csv", "label_column": "label",
+                  "protected_columns": ["group"], "num_steps": 5, "report_output": "report.json"},
+    }
+    cwd = os.getcwd()
+    os.chdir(d)
+    try:
+        for command, cfg in configs.items():
+            with open(f"{command}.config.json", "w") as fh:
+                json.dump(cfg, fh)
+            assert cli.main([command, "--config", f"{command}.config.json"]) in (0, 3)
+    finally:
+        os.chdir(cwd)
+    return d
+
+
+# the modules each command loads beyond EAGER; sim and inference load only where a command runs them
+OWN_MODULES = {
+    "split": [],
+    "train": [],
+    "metric": [],
+    "simulate": ["fairaudit.synthetic"],
+    "audit": ["fairaudit.inference"],
+}
+
+
+@pytest.mark.parametrize("command", OWN_MODULES)
+def test_each_command_loads_only_its_own_modules(cli_inputs, command):
+    # run_module is what ``python -m fairaudit.cli`` runs
+    code = "import runpy; runpy.run_module('fairaudit.cli', run_name='__main__', alter_sys=True)"
+    loaded = _loaded_at_exit(code, command, "--config", f"{command}.config.json", cwd=cli_inputs)
+    assert loaded == sorted(EAGER + OWN_MODULES[command])
+
+
+def test_namespace_lists_the_exported_names():
+    assert sorted(fairaudit.__all__) == sorted(NAMES)
+    star = {}
+    exec("from fairaudit import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(NAMES)
+    assert set(NAMES) | {"cli", "sim", "synthetic"} <= set(dir(fairaudit))
+
+
+@pytest.mark.parametrize("module", EXPORTS)
+def test_namespace_names_are_their_modules_objects(module):
+    owner = importlib.import_module(f"fairaudit.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(fairaudit, name) is getattr(owner, name)
+    assert getattr(fairaudit, module) is owner
+
+
+def test_unknown_name_raises_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        fairaudit.no_such_name
