@@ -87,12 +87,11 @@ def _lib(name: str):
     return getattr(__import__(f"{__package__}.{name}"), name)
 
 
-def _levels(*names) -> dict[str, _Key]:
-    """The named level keys (all with no names), defaulting to ``inference``'s levels."""
+def _levels() -> dict[str, _Key]:
+    """The level keys, defaulting to ``inference``'s levels."""
     from .inference import DEFAULT_ALPHA, DEFAULT_DELTA
 
-    levels = {"alpha": _Key(float, default=DEFAULT_ALPHA), "delta": _Key(float, default=DEFAULT_DELTA)}
-    return {name: levels[name] for name in names or levels}
+    return {"alpha": _Key(float, default=DEFAULT_ALPHA), "delta": _Key(float, default=DEFAULT_DELTA)}
 
 
 # each command's config keys, built when its config is parsed
@@ -154,7 +153,7 @@ _SCHEMAS: dict[str, Callable[[], dict[str, _Key]]] = {
         **_DATA_KEYS,
         **_keys(audit_preset(), "lam", "eta"),
         "horizons": _Key([float], required=True),
-        **_levels("alpha"),
+        "alpha": _levels()["alpha"],
         "output": _Key(str, required=True),
     },
     "robustness": lambda: {
