@@ -82,24 +82,18 @@ def cli_inputs(tmp_path_factory):
     from fairaudit import cli
 
     d = tmp_path_factory.mktemp("inputs")
+    data = {"data": str(d / "data.csv"), "label_column": "label", "protected_columns": ["group"]}
     configs = {
-        "simulate": {"n_samples": 60, "data_output": "data.csv"},
-        "metric": {"type": "rotated", "beta_degrees": 0.0, "metric_output": "metric.json"},
-        "train": {"data": "data.csv", "label_column": "label", "protected_columns": ["group"], "num_steps": 5,
-                  "model_output": "model.json"},
-        "split": {"input": "data.csv", "train_output": "train.csv", "audit_output": "audit.csv"},
-        "audit": {"model": "model.json", "metric": "metric.json", "data": "data.csv", "label_column": "label",
-                  "protected_columns": ["group"], "num_steps": 5, "report_output": "report.json"},
+        "simulate": {"n_samples": 60, "data_output": data["data"]},
+        "metric": {"type": "rotated", "beta_degrees": 0.0, "metric_output": str(d / "metric.json")},
+        "train": {**data, "num_steps": 5, "model_output": str(d / "model.json")},
+        "split": {"input": data["data"], "train_output": str(d / "train.csv"), "audit_output": str(d / "audit.csv")},
+        "audit": {**data, "model": str(d / "model.json"), "metric": str(d / "metric.json"), "num_steps": 5,
+                  "report_output": str(d / "report.json")},
     }
-    cwd = os.getcwd()
-    os.chdir(d)
-    try:
-        for command, cfg in configs.items():
-            with open(f"{command}.config.json", "w") as fh:
-                json.dump(cfg, fh)
-            assert cli.main([command, "--config", f"{command}.config.json"]) in (0, 3)
-    finally:
-        os.chdir(cwd)
+    for command, cfg in configs.items():
+        (d / f"{command}.config.json").write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(d / f"{command}.config.json")]) in (0, 3)
     return d
 
 
