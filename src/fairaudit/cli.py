@@ -27,15 +27,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import fair_metric
-
-# ``inference``, ``sim`` and ``synthetic`` are imported by the commands that run them, so each command
-# loads only its own modules; bench/traced_cli.py wraps the names bound below, such as ``unfair_map``
-from .attack import AttackConfig, AttackTrace, DivergenceError, audit_preset, sim_preset, unfair_map  # noqa: F401
+# every library module but ``dataset`` and the ``linalg`` it loads is imported by the commands that call it, so
+# each command loads only its own modules
 from .dataset import _expect, _read_json_object, _Stream, atomic_write_text, load_csv, save_csv, split_csv, write_csv
-from .fair_metric import SubspaceSpec, learn_sensitive_metric, load_metric, rotated_coordinate_metric, save_metric
 from .linalg import DEFAULT_RANK_TOL
-from .models import TrainConfig, load_model, save_model, train
 
 EXIT_OK = 0
 EXIT_REJECT = 3
@@ -87,6 +82,31 @@ def _lib(name: str):
     return getattr(__import__(f"{__package__}.{name}"), name)
 
 
+# the names bench/traced_cli.py wraps on this module, beyond the ``dataset`` ones bound above, by owning module
+_TRACED = {
+    "learn_sensitive_metric": "fair_metric",
+    "load_metric": "fair_metric",
+    "save_metric": "fair_metric",
+    "train": "models",
+    "load_model": "models",
+    "save_model": "models",
+    "unfair_map": "attack",
+}
+
+
+def __getattr__(name: str):
+    """A traced name, bound here from its owning module on first access."""
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_lib(_TRACED[name]), name)
+    return value
+
+
+def _traced(name: str):
+    """The traced name as bound here at call time, so a wrapper set on this module is the one that runs."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
+
 def _levels() -> dict[str, _Key]:
     """The level keys, defaulting to ``inference``'s levels."""
     from .inference import DEFAULT_ALPHA, DEFAULT_DELTA
@@ -107,7 +127,7 @@ _SCHEMAS: dict[str, Callable[[], dict[str, _Key]]] = {
         **_DATA_KEYS,
         "architecture": _Key(str, default="logistic"),
         # the CLI's one departure from a library default: it trains with class reweighting
-        **_keys(TrainConfig(class_reweight=True)),
+        **_keys(_lib("models").TrainConfig(class_reweight=True)),
         "projector_metric": _Key(str, default=None),
         "model_output": _Key(str, required=True),
     },
@@ -118,7 +138,7 @@ _SCHEMAS: dict[str, Callable[[], dict[str, _Key]]] = {
         "protected_columns": _Key([str], default=[]),
         "standardize": _Key(bool, default=False),
         "rank_tol": _Key(float, default=DEFAULT_RANK_TOL),
-        **_keys(fair_metric.SUBSPACE_TRAINING, "learning_rate", "batch_size", "num_steps", "seed"),
+        **_keys(_lib("fair_metric").SUBSPACE_TRAINING, "learning_rate", "batch_size", "num_steps", "seed"),
         "beta_degrees": _Key(float, default=None),
         "metric_output": _Key(str, required=True),
     },
@@ -126,7 +146,7 @@ _SCHEMAS: dict[str, Callable[[], dict[str, _Key]]] = {
         "model": _Key(str, required=True),
         "metric": _Key(str, required=True),
         **_DATA_KEYS,
-        **_keys(audit_preset()),
+        **_keys(_lib("attack").audit_preset()),
         **_levels(),
         "skip_divergent": _Key(bool, default=False),
         "error_rate": _Key(bool, default=True),
@@ -140,7 +160,7 @@ _SCHEMAS: dict[str, Callable[[], dict[str, _Key]]] = {
     },
     "sweep": lambda: {
         **_DATA_KEYS,
-        **_keys(sim_preset()),
+        **_keys(_lib("attack").sim_preset()),
         "beta_degrees": _Key(float, default=0.0),
         **_levels(),
         **{f"{axis}_{end}": _Key(float, default=value)
@@ -151,7 +171,7 @@ _SCHEMAS: dict[str, Callable[[], dict[str, _Key]]] = {
         "model": _Key(str, required=True),
         "metric": _Key(str, required=True),
         **_DATA_KEYS,
-        **_keys(audit_preset(), "lam", "eta"),
+        **_keys(_lib("attack").audit_preset(), "lam", "eta"),
         "horizons": _Key([float], required=True),
         "alpha": _levels()["alpha"],
         "output": _Key(str, required=True),
@@ -160,7 +180,7 @@ _SCHEMAS: dict[str, Callable[[], dict[str, _Key]]] = {
         "model": _Key(str, required=True),
         "metric": _Key(str, required=True),
         **_DATA_KEYS,
-        **_keys(audit_preset()),
+        **_keys(_lib("attack").audit_preset()),
         "scales": _Key([float], required=True),
         "perturb_seed": _Key(int, default=0),
         "output": _Key(str, required=True),
@@ -218,32 +238,37 @@ def run_split(cfg: dict) -> int:
 
 
 def run_train(cfg: dict) -> int:
+    from .models import TrainConfig
+
     ds = _load_dataset(cfg)
     projector = None
     if cfg["projector_metric"] is not None:
-        projector = load_metric(cfg["projector_metric"]).sigma
+        projector = _traced("load_metric")(cfg["projector_metric"]).sigma
     train_cfg = _build(TrainConfig, cfg, preprocess_projector=projector)
-    model = train(ds.features, ds.labels, architecture=cfg["architecture"], cfg=train_cfg)
+    model = _traced("train")(ds.features, ds.labels, architecture=cfg["architecture"], cfg=train_cfg)
     del ds  # encoding the model with the training data still held set the command's peak RSS
-    save_model(model, cfg["model_output"])
+    _traced("save_model")(model, cfg["model_output"])
     print(f"train: saved {cfg['architecture']} model to {cfg['model_output']}")
     return EXIT_OK
 
 
 def run_metric(cfg: dict) -> int:
+    from .fair_metric import SubspaceSpec, rotated_coordinate_metric
+    from .models import TrainConfig
+
     kind = cfg["type"]
     if kind == "learned":
         if cfg["data"] is None or cfg["label_column"] is None or not cfg["protected_columns"]:
             raise ValueError("metric: learned metrics need data, label_column and protected_columns")
         ds = _load_dataset(cfg)
-        metric = learn_sensitive_metric(ds, _build(SubspaceSpec, cfg), _build(TrainConfig, cfg))
+        metric = _traced("learn_sensitive_metric")(ds, _build(SubspaceSpec, cfg), _build(TrainConfig, cfg))
     elif kind == "rotated":
         if cfg["beta_degrees"] is None:
             raise ValueError("metric: rotated metrics need beta_degrees")
         metric = rotated_coordinate_metric(math.radians(cfg["beta_degrees"]))
     else:
         raise ValueError(f"metric: unknown type {kind!r}")
-    save_metric(metric, cfg["metric_output"])
+    _traced("save_metric")(metric, cfg["metric_output"])
     print(f"metric: saved {kind} metric to {cfg['metric_output']}")
     return EXIT_OK
 
@@ -272,10 +297,11 @@ def _write_trace(path, index, trace) -> None:
 
 
 def run_audit(cfg: dict) -> int:
+    from .attack import AttackConfig, AttackTrace
     from .inference import audit
 
-    model = load_model(cfg["model"])
-    metric = load_metric(cfg["metric"])
+    model = _traced("load_model")(cfg["model"])
+    metric = _traced("load_metric")(cfg["metric"])
     ds = _load_dataset(cfg)
     attack_cfg = _build(AttackConfig, cfg)
     # a traced audit keeps every state of its one attack, divergent rows included
@@ -317,16 +343,21 @@ def run_simulate(cfg: dict) -> int:
 
 
 def run_sweep(cfg: dict) -> int:
+    from .attack import AttackConfig
+    from .fair_metric import rotated_coordinate_metric
     from .sim import GridSpec, HeatmapCell, sweep_heatmap
 
     ds = _load_dataset(cfg)
     if ds.features.shape[1] != 2:
         raise ValueError("sweep: expects 2-D features (declare extra columns as protected)")
     metric = rotated_coordinate_metric(math.radians(cfg["beta_degrees"]))
-    grid = GridSpec(
-        w1_values=GridSpec.from_range(cfg["w1_min"], cfg["w1_max"], cfg["w1_step"]),
-        w2_values=GridSpec.from_range(cfg["w2_min"], cfg["w2_max"], cfg["w2_step"]),
-    )
+    axes = {}
+    for axis in ("w1", "w2"):
+        try:
+            axes[f"{axis}_values"] = GridSpec.from_range(cfg[f"{axis}_min"], cfg[f"{axis}_max"], cfg[f"{axis}_step"])
+        except ValueError as exc:
+            raise ValueError(f"sweep: {axis} grid: {exc}") from None
+    grid = GridSpec(**axes)
     cells = sweep_heatmap(
         ds.features, ds.labels, grid, metric, _build(AttackConfig, cfg), alpha=cfg["alpha"], delta=cfg["delta"]
     )
@@ -339,8 +370,8 @@ def run_sweep(cfg: dict) -> int:
 def run_stopping_sweep(cfg: dict) -> int:
     from .sim import stopping_time_sweep
 
-    model = load_model(cfg["model"])
-    metric = load_metric(cfg["metric"])
+    model = _traced("load_model")(cfg["model"])
+    metric = _traced("load_metric")(cfg["metric"])
     ds = _load_dataset(cfg)
     rows = stopping_time_sweep(
         model,
@@ -358,10 +389,11 @@ def run_stopping_sweep(cfg: dict) -> int:
 
 
 def run_robustness(cfg: dict) -> int:
+    from .attack import AttackConfig
     from .sim import robustness_experiment
 
-    model = load_model(cfg["model"])
-    metric = load_metric(cfg["metric"])
+    model = _traced("load_model")(cfg["model"])
+    metric = _traced("load_metric")(cfg["metric"])
     ds = _load_dataset(cfg)
     rows = robustness_experiment(
         model,
@@ -385,6 +417,17 @@ def run_calibrate(cfg: dict) -> int:
     rates = " ".join(f"{r.experiment}={r.rate:.3f}" for r in results)
     print(f"calibrate: {rates} -> {cfg['output']}")
     return EXIT_OK
+
+
+def _operational_errors() -> tuple[type[Exception], ...]:
+    """The errors ``main`` reports with exit 10.
+
+    An ``except`` clause evaluates this only once an exception is raised, and only a command that attacked can
+    raise ``DivergenceError``, so no command imports ``attack`` for it.
+    """
+    from .attack import DivergenceError
+
+    return (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError, DivergenceError)
 
 
 _RUNNERS = {
@@ -412,7 +455,7 @@ def main(argv=None) -> int:
     try:
         cfg = _parse_config(args.config, args.command)
         return _RUNNERS[args.command](cfg)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError, DivergenceError) as exc:
+    except _operational_errors() as exc:
         print(f"fairaudit {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -94,11 +94,15 @@ class GridSpec:
 
     @staticmethod
     def from_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
-        if step <= 0 or hi < lo:
-            raise ValueError("need step > 0 and hi >= lo")
+        values = f"min {lo!r}, max {hi!r}, step {step!r}"
+        if not (step > 0 and hi >= lo):
+            raise ValueError(f"need step > 0 and max >= min, got {values}")
+        steps = (hi - lo) / step
+        if not math.isfinite(steps):
+            raise ValueError(f"(max - min) / step is not finite for {values}")
         # floor keeps the last value at or below hi; the slack absorbs quotients
         # such as 0.3 / 0.1 = 2.9999999999999996
-        count = math.floor((hi - lo) / step + 1e-9) + 1
+        count = math.floor(steps + 1e-9) + 1
         return tuple(round(lo + k * step, 9) for k in range(count))
 
     @classmethod

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fairaudit import cli, inference, sim, synthetic
+from fairaudit import attack, cli, dataset, fair_metric, inference, models, sim, synthetic
 from fairaudit.attack import AttackTrace
 from fairaudit.dataset import Dataset
 from fairaudit.fair_metric import FairMetric, load_metric, save_metric
@@ -315,16 +315,21 @@ class TestAuditCommand:
         rec = json.loads(lines[0])
         assert rec["step"] == 0 and rec["sample"] == 0 and "loss" in rec and "penalty" in rec
 
-    def test_trace_output_keeps_the_audited_rows_when_some_diverge(self, tmp_path):
+    @staticmethod
+    def divergent_audit_config(tmp_path, **extra):
+        """An audit whose attack diverges on 48 of 100 simulated rows, written to ``data.csv``."""
         data = tmp_path / "data.csv"
         simulate = write_config(tmp_path, "s.json", {"n_samples": 100, "seed": 1, "data_output": str(data)})
         assert cli.main(["simulate", "--config", simulate]) == 0
         model = tmp_path / "model.json"
         save_model(LogisticModel(weights=np.array([4.0, 1.5]), bias=0.0), model)
         metric = write_config(tmp_path, "identity.json", {"dim": 2, "sigma": [[1.0, 0.0], [0.0, 1.0]]})
-        cfg = audit_config(
-            tmp_path, str(model), metric, str(data), lam=1.0, num_steps=20, eta=1.5, skip_divergent=True,
-            error_rate=False, samples_output=str(tmp_path / "samples.csv"), trace_output=str(tmp_path / "trace.jsonl"),
+        return audit_config(tmp_path, str(model), metric, str(data), lam=1.0, num_steps=20, eta=1.5, **extra)
+
+    def test_trace_output_keeps_the_audited_rows_when_some_diverge(self, tmp_path):
+        cfg = self.divergent_audit_config(
+            tmp_path, skip_divergent=True, error_rate=False, samples_output=str(tmp_path / "samples.csv"),
+            trace_output=str(tmp_path / "trace.jsonl"),
         )
         assert cli.main(["audit", "--config", cfg]) in (0, 3)
         samples = [row.split(",") for row in (tmp_path / "samples.csv").read_text().splitlines()[1:]]
@@ -332,19 +337,20 @@ class TestAuditCommand:
         assert len(index) == 52
         records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
         assert [(r["sample"], r["step"]) for r in records] == [(i, k) for i in index for k in range(21)]
-        features = np.loadtxt(data, delimiter=",", skiprows=1, usecols=(0, 1))
+        features = np.loadtxt(tmp_path / "data.csv", delimiter=",", skiprows=1, usecols=(0, 1))
         assert [r["x"] for r in records[::21]] == features[index].tolist()
         losses = np.array([r["loss"] for r in records]).reshape(len(index), 21)
         np.testing.assert_array_equal(losses[:, -1] / losses[:, 0], [float(row[1]) for row in samples])
 
+    def test_divergence_exits_10_naming_its_step_and_sample(self, tmp_path, capsys):
+        cfg = self.divergent_audit_config(tmp_path, skip_divergent=False)
+        capsys.readouterr()
+        assert cli.main(["audit", "--config", cfg]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == "fairaudit audit: error: attack diverged at step 20 on sample 4\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_no_baseline_errors_after_skipping_exits_10_naming_the_dropped_rows(self, tmp_path, capsys):
-        data = tmp_path / "data.csv"
-        simulate = write_config(tmp_path, "s.json", {"n_samples": 100, "seed": 1, "data_output": str(data)})
-        assert cli.main(["simulate", "--config", simulate]) == 0
-        model = tmp_path / "model.json"
-        save_model(LogisticModel(weights=np.array([4.0, 1.5]), bias=0.0), model)
-        metric = write_config(tmp_path, "identity.json", {"dim": 2, "sigma": [[1.0, 0.0], [0.0, 1.0]]})
-        cfg = audit_config(tmp_path, str(model), metric, str(data), lam=1.0, num_steps=20, eta=1.5, skip_divergent=True)
+        cfg = self.divergent_audit_config(tmp_path, skip_divergent=True)
         capsys.readouterr()
         assert cli.main(["audit", "--config", cfg]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == (
@@ -361,7 +367,7 @@ class TestAuditCommand:
 
 
 class TestSweepCommand:
-    def sweep_config(self, tmp_path, sim_csv, out_name="heatmap.csv"):
+    def sweep_config(self, tmp_path, sim_csv, out_name="heatmap.csv", **extra):
         return write_config(
             tmp_path,
             f"sweep-{out_name}.json",
@@ -376,6 +382,7 @@ class TestSweepCommand:
                 "w2_max": 1.0,
                 "w2_step": 1.0,
                 "output": str(tmp_path / out_name),
+                **extra,
             },
         )
 
@@ -388,6 +395,25 @@ class TestSweepCommand:
         assert len(lines) == 1 + 3 * 2
         assert cli.main(["sweep", "--config", cfg]) == 0
         assert (tmp_path / "heatmap.csv").read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (
+                {"w1_min": -1e308, "w1_max": 1e308},
+                "w1 grid: (max - min) / step is not finite for min -1e+308, max 1e+308, step 1.0",
+            ),
+            ({"w1_step": 0}, "w1 grid: need step > 0 and max >= min, got min -1.0, max 1.0, step 0.0"),
+            ({"w2_min": 3, "w2_max": 1}, "w2 grid: need step > 0 and max >= min, got min 3.0, max 1.0, step 1.0"),
+        ],
+        ids=["overflowing-range", "zero-step", "reversed-range"],
+    )
+    def test_unbuildable_grid_exits_10_naming_its_axis(self, tmp_path, sim_csv, capsys, keys, message):
+        cfg = self.sweep_config(tmp_path, sim_csv, **keys)
+        capsys.readouterr()
+        assert cli.main(["sweep", "--config", cfg]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"fairaudit sweep: error: sweep: {message}\n"
+        assert not (tmp_path / "heatmap.csv").exists()
 
     def test_default_grid_has_441_cells(self):
         schema = cli._SCHEMAS["sweep"]()
@@ -995,8 +1021,6 @@ class TestJsonArtifacts:
 
 class TestBatchedTrace:
     def test_traced_audit_attacks_once(self, tmp_path, sim_csv, metric_file, monkeypatch):
-        from fairaudit import attack, inference
-
         calls = []
         for module in (inference, attack):
             wrapped = module.unfair_map_batch
@@ -1051,3 +1075,32 @@ class TestBatchedTrace:
         rows = (tmp_path / "samples.csv").read_text().splitlines()[1:]
         ratios = np.array([float(row.split(",")[1]) for row in rows])
         np.testing.assert_array_equal(losses[:, -1] / losses[:, 0], ratios)
+
+
+# the names an outside tracer wraps on ``cli`` before calling ``cli.main``, by owning module
+TRACED_ON_CLI = {
+    dataset: ["atomic_write_text", "load_csv", "save_csv", "split_csv"],
+    fair_metric: ["learn_sensitive_metric", "load_metric", "save_metric"],
+    models: ["load_model", "save_model", "train"],
+    attack: ["unfair_map"],
+}
+
+
+def test_names_traced_on_cli_are_their_owners_and_wrappers_set_there_run(tmp_path, sim_csv, metric_file, monkeypatch):
+    for module, names in TRACED_ON_CLI.items():
+        for name in names:
+            assert getattr(cli, name) is getattr(module, name), name
+    calls = []
+    for name in ("load_model", "train", "learn_sensitive_metric"):
+        wrapped = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _fn=wrapped, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    data = {"data": sim_csv, "label_column": "label", "protected_columns": ["group"], "num_steps": 5}
+    train = write_config(tmp_path, "train.json", {**data, "model_output": str(tmp_path / "model.json")})
+    metric = write_config(tmp_path, "learn.json", {**data, "metric_output": str(tmp_path / "learned.json")})
+    assert cli.main(["train", "--config", train]) == cli.EXIT_OK
+    assert cli.main(["metric", "--config", metric]) == cli.EXIT_OK
+    audit = audit_config(tmp_path, str(tmp_path / "model.json"), metric_file, sim_csv, num_steps=5)
+    assert cli.main(["audit", "--config", audit]) in (cli.EXIT_OK, cli.EXIT_REJECT)
+    assert calls == ["train", "learn_sensitive_metric", "load_model"]
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        cli.no_such_name

@@ -53,8 +53,8 @@ EXPORTS = {
             "robustness_experiment", "stopping_time_sweep", "sweep_heatmap"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
-# what the CLI imports for every command: the modules behind the names bench/traced_cli.py wraps on it
-EAGER = ["fairaudit", "fairaudit.attack", "fairaudit.dataset", "fairaudit.fair_metric", "fairaudit.linalg", "fairaudit.models"]
+# what the CLI imports for every command: config parsing and the dataset names bench/traced_cli.py wraps on it
+EAGER = ["fairaudit", "fairaudit.dataset", "fairaudit.linalg"]
 
 
 # the package's modules loaded when the interpreter exits, printed as its last line of output
@@ -76,6 +76,10 @@ def test_package_import_loads_no_submodule():
     assert _loaded_at_exit("import fairaudit") == ["fairaudit"]
 
 
+def test_cli_import_loads_only_dataset_and_linalg():
+    assert _loaded_at_exit("import fairaudit.cli") == sorted(EAGER + ["fairaudit.cli"])
+
+
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
     """A small simulated CSV, a rotated metric and a logistic model, made in this process."""
@@ -87,32 +91,41 @@ def cli_inputs(tmp_path_factory):
         "simulate": {"n_samples": 60, "data_output": data["data"]},
         "metric": {"type": "rotated", "beta_degrees": 0.0, "metric_output": str(d / "metric.json")},
         "train": {**data, "num_steps": 5, "model_output": str(d / "model.json")},
+        "train-projector": {**data, "num_steps": 5, "projector_metric": str(d / "metric.json"),
+                            "model_output": str(d / "projected-model.json")},
         "split": {"input": data["data"], "train_output": str(d / "train.csv"), "audit_output": str(d / "audit.csv")},
         "audit": {**data, "model": str(d / "model.json"), "metric": str(d / "metric.json"), "num_steps": 5,
                   "report_output": str(d / "report.json")},
     }
-    for command, cfg in configs.items():
-        (d / f"{command}.config.json").write_text(json.dumps(cfg))
-        assert cli.main([command, "--config", str(d / f"{command}.config.json")]) in (0, 3)
+    for case, cfg in configs.items():
+        (d / f"{case}.config.json").write_text(json.dumps(cfg))
+        assert cli.main([_command(case), "--config", str(d / f"{case}.config.json")]) in (0, 3)
     return d
 
 
-# the modules each command loads beyond EAGER; sim and inference load only where a command runs them
+def _command(case: str) -> str:
+    """The command a case runs: its name up to the first ``-``."""
+    return case.split("-")[0]
+
+
+# the modules each case loads beyond EAGER: a command loads a library module only when it calls it
 OWN_MODULES = {
     "split": [],
-    "train": [],
-    "metric": [],
     "simulate": ["fairaudit.synthetic"],
-    "audit": ["fairaudit.inference"],
+    "train": ["fairaudit.models"],
+    # the projector is read from a metric file
+    "train-projector": ["fairaudit.fair_metric", "fairaudit.models"],
+    "metric": ["fairaudit.fair_metric", "fairaudit.models"],
+    "audit": ["fairaudit.attack", "fairaudit.fair_metric", "fairaudit.inference", "fairaudit.models"],
 }
 
 
-@pytest.mark.parametrize("command", OWN_MODULES)
-def test_each_command_loads_only_its_own_modules(cli_inputs, command):
+@pytest.mark.parametrize("case", OWN_MODULES)
+def test_each_command_loads_only_its_own_modules(cli_inputs, case):
     # run_module is what ``python -m fairaudit.cli`` runs
     code = "import runpy; runpy.run_module('fairaudit.cli', run_name='__main__', alter_sys=True)"
-    loaded = _loaded_at_exit(code, command, "--config", f"{command}.config.json", cwd=cli_inputs)
-    assert loaded == sorted(EAGER + OWN_MODULES[command])
+    loaded = _loaded_at_exit(code, _command(case), "--config", f"{case}.config.json", cwd=cli_inputs)
+    assert loaded == sorted(EAGER + OWN_MODULES[case])
 
 
 def test_namespace_lists_the_exported_names():

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,8 +126,10 @@ class TestGridSpec:
         assert grid.w1_values[1] == pytest.approx(-3.6)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            sim.GridSpec.from_range(0.0, 1.0, 0.0)
+        # a non-positive step, a reversed range, and a range whose step count overflows
+        for lo, hi, step in [(0.0, 1.0, 0.0), (1.0, 0.0, 0.5), (-1e308, 1e308, 0.4)]:
+            with pytest.raises(ValueError, match=re.escape(f"min {lo!r}, max {hi!r}, step {step!r}")):
+                sim.GridSpec.from_range(lo, hi, step)
 
     def test_range_stops_at_the_last_full_step(self):
         # a last partial step of half a step or more must not round the count up past hi
