@@ -13,7 +13,7 @@ verdict:
 
     0   success; for ``audit``, the fairness hypothesis was NOT rejected
     3   ``audit`` rejected the fairness hypothesis
-    10  operational error (bad config, missing file, bad data, divergence)
+    10  operational error (bad config, missing file, bad data, divergence, failed allocation)
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ def _operational_errors() -> tuple[type[Exception], ...]:
     """
     from .attack import DivergenceError
 
-    return (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError, DivergenceError)
+    return (OSError, ValueError, KeyError, TypeError, MemoryError, json.JSONDecodeError, DivergenceError)
 
 
 _RUNNERS = {
@@ -452,6 +452,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config for this command")
     args = parser.parse_args(argv)
+    # numpy.random imports hmac and hashlib, whose _hashlib maps OpenSSL (3.4 MB resident), and no command hashes
+    sys.modules.setdefault("_hashlib", None)
     try:
         cfg = _parse_config(args.config, args.command)
         return _RUNNERS[args.command](cfg)

@@ -37,6 +37,9 @@ from .synthetic import SimConfig, assign_labels, generate  # noqa: F401
 
 BIAS_CLAMP = 50.0
 SWEEP_GRID = (-4.0, 4.0, 0.4)  # (lo, hi, step) of both axes of the default heatmap grid
+# most values one grid axis may have, about 48 times the paper's 21; a larger count is a mistyped step, and at
+# a step such as 1e-300 building the tuple would never return
+MAX_GRID_VALUES = 1000
 # rows of the stacked (cell, sample) state that one attack call advances together
 SWEEP_ROW_BLOCK = 4096
 
@@ -103,6 +106,8 @@ class GridSpec:
         # floor keeps the last value at or below hi; the slack absorbs quotients
         # such as 0.3 / 0.1 = 2.9999999999999996
         count = math.floor(steps + 1e-9) + 1
+        if count > MAX_GRID_VALUES:
+            raise ValueError(f"{count:g} grid values exceed the limit of {MAX_GRID_VALUES} per axis for {values}")
         return tuple(round(lo + k * step, 9) for k in range(count))
 
     @classmethod

@@ -360,6 +360,21 @@ class TestAuditCommand:
         )
         assert not (tmp_path / "report.json").exists()
 
+    def test_failed_allocation_exits_10_with_numpys_message(self, tmp_path, sim_csv, metric_file, capsys, monkeypatch):
+        # a real allocation of 10**12 steps may fail at once or be granted and then exhaust memory, depending on
+        # the machine's overcommit setting, so the runner raises what numpy raises when it fails
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+        def allocate(cfg):
+            assert cfg["num_steps"] == 10**12
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._RUNNERS, "audit", allocate)
+        cfg = audit_config(tmp_path, unfair_model_file(tmp_path, sim_csv), metric_file, sim_csv, num_steps=10**12)
+        capsys.readouterr()
+        assert cli.main(["audit", "--config", cfg]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"fairaudit audit: error: {message}\n"
+
     def test_invalid_alpha_exits_10(self, tmp_path, sim_csv, metric_file):
         model = unfair_model_file(tmp_path, sim_csv)
         cfg = audit_config(tmp_path, model, metric_file, sim_csv, alpha=0.7)
@@ -405,8 +420,21 @@ class TestSweepCommand:
             ),
             ({"w1_step": 0}, "w1 grid: need step > 0 and max >= min, got min -1.0, max 1.0, step 0.0"),
             ({"w2_min": 3, "w2_max": 1}, "w2 grid: need step > 0 and max >= min, got min 3.0, max 1.0, step 1.0"),
+            # counts that would never return or would exhaust memory, rejected before any value is built
+            (
+                {"w1_step": 1e-300},
+                "w1 grid: 2e+300 grid values exceed the limit of 1000 per axis for min -1.0, max 1.0, step 1e-300",
+            ),
+            (
+                {"w2_step": 1e-9},
+                "w2 grid: 1e+09 grid values exceed the limit of 1000 per axis for min 0.0, max 1.0, step 1e-09",
+            ),
+            (
+                {"w1_min": 0, "w1_max": 1000},
+                "w1 grid: 1001 grid values exceed the limit of 1000 per axis for min 0.0, max 1000.0, step 1.0",
+            ),
         ],
-        ids=["overflowing-range", "zero-step", "reversed-range"],
+        ids=["overflowing-range", "zero-step", "reversed-range", "tiny-step", "huge-count", "one-past-the-limit"],
     )
     def test_unbuildable_grid_exits_10_naming_its_axis(self, tmp_path, sim_csv, capsys, keys, message):
         cfg = self.sweep_config(tmp_path, sim_csv, **keys)

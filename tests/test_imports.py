@@ -27,8 +27,9 @@ def test_cli_import_skips_modules_only_some_commands_need():
 
 
 def test_cli_import_skips_numpy_random_and_openssl():
-    # numpy.random loads OpenSSL through secrets, several MB of peak RSS that
-    # only the commands that draw random numbers need
+    # numpy.random imports secrets, and through it hashlib and hmac, which only
+    # the commands that draw random numbers need; ``main`` keeps OpenSSL's
+    # 3.4 MB out of those (test_commands_that_draw_random_numbers_map_no_openssl)
     code = (
         "import sys, fairaudit.cli; "
         "print(' '.join(m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules))"
@@ -57,19 +58,24 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 EAGER = ["fairaudit", "fairaudit.dataset", "fairaudit.linalg"]
 
 
-# the package's modules loaded when the interpreter exits, printed as its last line of output
-LOADED_AT_EXIT = (
-    "import atexit, sys; "
-    "atexit.register(lambda: print(' '.join(sorted(m for m in sys.modules if m.startswith('fairaudit')))))"
-)
+# what ``python -m fairaudit.cli`` runs
+RUN_CLI = "import runpy; runpy.run_module('fairaudit.cli', run_name='__main__', alter_sys=True)"
+
+
+def _run(code, *args, cwd=None, at_exit="None"):
+    """Run ``code`` with ``args`` in a fresh interpreter: its stdout before exit, and ``at_exit``'s value at exit."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    register = f"import atexit, json, os, sys; atexit.register(lambda: print(json.dumps({at_exit})))"
+    out = subprocess.run([sys.executable, "-c", f"{register}; {code}", *args], cwd=cwd, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode in (0, 3) and out.stderr == "", out.stderr
+    *lines, last = out.stdout.splitlines(keepends=True)
+    return "".join(lines), json.loads(last)
 
 
 def _loaded_at_exit(code, *args, cwd=None) -> list[str]:
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", f"{LOADED_AT_EXIT}; {code}", *args], cwd=cwd, env=env,
-                         capture_output=True, text=True)
-    assert out.returncode in (0, 3), out.stderr
-    return out.stdout.splitlines()[-1].split()
+    """The package's modules loaded when the interpreter that runs ``code`` exits."""
+    return _run(code, *args, cwd=cwd, at_exit="sorted(m for m in sys.modules if m.startswith('fairaudit'))")[1]
 
 
 def test_package_import_loads_no_submodule():
@@ -91,11 +97,15 @@ def cli_inputs(tmp_path_factory):
         "simulate": {"n_samples": 60, "data_output": data["data"]},
         "metric": {"type": "rotated", "beta_degrees": 0.0, "metric_output": str(d / "metric.json")},
         "train": {**data, "num_steps": 5, "model_output": str(d / "model.json")},
+        "metric-learned": {**data, "num_steps": 5, "metric_output": str(d / "learned-metric.json")},
         "train-projector": {**data, "num_steps": 5, "projector_metric": str(d / "metric.json"),
                             "model_output": str(d / "projected-model.json")},
         "split": {"input": data["data"], "train_output": str(d / "train.csv"), "audit_output": str(d / "audit.csv")},
         "audit": {**data, "model": str(d / "model.json"), "metric": str(d / "metric.json"), "num_steps": 5,
                   "report_output": str(d / "report.json")},
+        "robustness": {**data, "model": str(d / "model.json"), "metric": str(d / "metric.json"), "num_steps": 5,
+                       "scales": [0.5, 0.0], "output": str(d / "robustness.csv")},
+        "calibrate": {"n": 20, "coverage_replicates": 10, "replicates": 10, "output": str(d / "calibration.csv")},
     }
     for case, cfg in configs.items():
         (d / f"{case}.config.json").write_text(json.dumps(cfg))
@@ -122,10 +132,47 @@ OWN_MODULES = {
 
 @pytest.mark.parametrize("case", OWN_MODULES)
 def test_each_command_loads_only_its_own_modules(cli_inputs, case):
-    # run_module is what ``python -m fairaudit.cli`` runs
-    code = "import runpy; runpy.run_module('fairaudit.cli', run_name='__main__', alter_sys=True)"
-    loaded = _loaded_at_exit(code, _command(case), "--config", f"{case}.config.json", cwd=cli_inputs)
+    loaded = _loaded_at_exit(RUN_CLI, _command(case), "--config", f"{case}.config.json", cwd=cli_inputs)
     assert loaded == sorted(EAGER + OWN_MODULES[case])
+
+
+# at exit: whether numpy.random is loaded, whether _hashlib is blocked, and whether OpenSSL's libcrypto is mapped
+# (None without /proc)
+OPENSSL_STATE = (
+    "['numpy.random' in sys.modules, sys.modules.get('_hashlib', 0) is None, "
+    "'libcrypto' in open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else None]"
+)
+
+
+@pytest.mark.parametrize("case", ["split", "simulate", "train", "metric-learned", "robustness", "calibrate"])
+def test_commands_that_draw_random_numbers_map_no_openssl(cli_inputs, case):
+    _, (random_loaded, hashlib_blocked, libcrypto) = _run(
+        RUN_CLI, _command(case), "--config", f"{case}.config.json", cwd=cli_inputs, at_exit=OPENSSL_STATE
+    )
+    assert random_loaded and hashlib_blocked
+    if libcrypto is None:
+        pytest.skip("no /proc/self/maps to read the mapped libraries from")
+    assert not libcrypto
+
+
+# the output keys of the cases rerun with OpenSSL loaded
+OUTPUTS = {"split": ["train_output", "audit_output"], "simulate": ["data_output"], "train": ["model_output"]}
+
+
+@pytest.mark.parametrize("case", OUTPUTS)
+def test_blocking_openssl_changes_no_output(cli_inputs, tmp_path, case):
+    # hashlib falls back to its built-in digests, and numpy.random's seeded streams do not hash
+    cfg = json.loads((cli_inputs / f"{case}.config.json").read_text())
+    cfg.update({key: f"{key}.out" for key in OUTPUTS[case]})
+    runs = {}
+    for name, prelude in (("blocked", ""), ("openssl", "import _hashlib; ")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "config.json").write_text(json.dumps(cfg))
+        stdout, hashlib_blocked = _run(prelude + RUN_CLI, case, "--config", "config.json", cwd=tmp_path / name,
+                                       at_exit="sys.modules.get('_hashlib', 0) is None")
+        assert hashlib_blocked == (name == "blocked")
+        runs[name] = stdout, [(tmp_path / name / f"{key}.out").read_bytes() for key in OUTPUTS[case]]
+    assert runs["blocked"] == runs["openssl"]
 
 
 def test_namespace_lists_the_exported_names():

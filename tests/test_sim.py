@@ -131,6 +131,10 @@ class TestGridSpec:
             with pytest.raises(ValueError, match=re.escape(f"min {lo!r}, max {hi!r}, step {step!r}")):
                 sim.GridSpec.from_range(lo, hi, step)
 
+    def test_range_allows_up_to_the_limit(self):
+        # one value more exits 10 (test_cli.py test_unbuildable_grid_exits_10_naming_its_axis)
+        assert len(sim.GridSpec.from_range(0.0, sim.MAX_GRID_VALUES - 1.0, 1.0)) == sim.MAX_GRID_VALUES
+
     def test_range_stops_at_the_last_full_step(self):
         # a last partial step of half a step or more must not round the count up past hi
         assert sim.GridSpec.from_range(0.0, 1.0, 0.6) == (0.0, 0.6)
