@@ -27,7 +27,8 @@ _EXPORTS = {
     "synthetic": ("SimConfig", "generate"),
 }
 _OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("attack", "cli", "dataset", "fair_metric", "inference", "linalg", "models", "sim", "synthetic")
+_SUBMODULES = ("attack", "cli", "dataset", "fair_metric", "inference", "linalg", "models", "sim", "synthetic",
+               "tracefile")
 
 __all__ = list(_OWNERS)
 __version__ = "0.1.0"

@@ -20,14 +20,33 @@ h * m * sqrt(d) / (2 L) * (e^{L T} - 1), where L is a Lipschitz constant of
 the field and m bounds ||J_g(x) g(x)||_inf along the path.
 
 ``unfair_map_batch`` attacks a batch of points at once and is pure:
-identical inputs give bit-identical outputs, and each sample's outcome
-depends only on its own inputs.  ``unfair_map`` is Phi on a batch of one.
+identical inputs give bit-identical outputs.  In exact arithmetic each
+sample's outcome depends only on its own inputs, but not bit for bit: the
+BLAS products behind the models and the metric pick their kernels by the
+batch's size, and work through a batch in tiles of rows, with other code
+for the rows past the last whole tile.  So a row's bits can depend on its
+batch.  On a 1000x40 audit of 500 steps (OpenBLAS 0.3.31, Haswell
+kernels):
+
+- batches of 1-24 rows of a 50-unit tanh MLP, and of 1-3 rows of a
+  logistic model, ended on other bits than the same rows attacked in one
+  batch of all 1000; batches of 32 rows and more gave the one batch's
+  bits, so ``BLOCK_FLOOR`` keeps twice that;
+- blocks of about 200 rows whose bounds were not multiples of 4 changed
+  the bits of 2-4 rows of either model.
+
+``attack_rows`` and ``attack_blocks`` are the one driver every audit,
+sweep and experiment attacks through.  They advance a state of any height
+in the row blocks of ``row_blocks``, which never cuts a block below
+``BLOCK_FLOOR`` rows unless the whole batch has fewer, and cuts only at
+multiples of ``BLOCK_ALIGN`` rows, so a blocked attack gives the bits of
+one state of all rows.  ``unfair_map`` is Phi on a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,10 +54,22 @@ from .fair_metric import FairMetric
 from .linalg import fields_equal
 
 DIVERGENCE_RADIUS = 1e6
+# a row block's state holds at most about this many bytes: 4096 rows at d = 2 and 204 rows at d = 40
+BLOCK_BYTES = 64 * 1024
+# the fewest rows a block has unless the whole batch has fewer; see the module docstring for why
+BLOCK_FLOOR = 64
+# every block but the last starts and ends on a multiple of this many rows, so each row sits at the same
+# place in the BLAS kernels' row tiles as in one state of all rows; 4 sufficed for OpenBLAS's Haswell
+# kernels, and 16 also covers wider tiles
+BLOCK_ALIGN = 16
 
 
 class DivergenceError(RuntimeError):
-    """Euler iterates left the trust region or became non-finite."""
+    """Euler iterates left the trust region or became non-finite at ``step`` on row ``sample``."""
+
+    def __init__(self, step: int, sample: int):
+        super().__init__(f"attack diverged at step {step} on sample {sample}")
+        self.step, self.sample = step, sample
 
 
 class StabilityBoundError(RuntimeError):
@@ -157,6 +188,15 @@ def unfair_map(model, metric: FairMetric, cfg: AttackConfig, x0, y) -> np.ndarra
     return unfair_map_batch(model, metric, cfg, xb, yb)[0][0]
 
 
+def _checked_batch(x0, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x0`` and ``y`` as float arrays, or a ``ValueError`` naming their shapes unless ``x0`` is a finite
+    ``(n, d)`` array and ``y`` an ``(n,)`` array."""
+    x0, y = np.asarray(x0, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x0.ndim != 2 or y.shape != x0.shape[:1] or not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be a finite (n, d) array and y an (n,) array, got shapes {x0.shape} and {y.shape}")
+    return x0, y
+
+
 def unfair_map_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_divergent: bool = False, on_step=None):
     """Vectorized attack over an (n, d) batch of independent samples.
 
@@ -186,9 +226,7 @@ def unfair_map_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_d
     attack inputs: a non-finite ``x0``, or shapes other than ``(n, d)`` and
     ``(n,)``, raise a ``ValueError`` naming them.
     """
-    x0, y = np.asarray(x0, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    if x0.ndim != 2 or y.shape != x0.shape[:1] or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be a finite (n, d) array and y an (n,) array, got shapes {x0.shape} and {y.shape}")
+    x0, y = _checked_batch(x0, y)
     # the workspace: two states swapped every step, the field, the displacement
     x = x0.copy()
     x_next = np.empty(x0.shape)
@@ -217,7 +255,7 @@ def unfair_map_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_d
                 if np.any(bad):
                     bad_idx = np.flatnonzero(bad)
                     if not skip_divergent:
-                        raise DivergenceError(f"attack diverged at step {k} on sample {int(bad_idx[0])}")
+                        raise DivergenceError(k, int(bad_idx[0]))
                     divergent.extend(bad_idx.tolist())
                     dead = bad if dead is None else dead | bad
             if dead is not None:
@@ -227,6 +265,76 @@ def unfair_map_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_d
                 on_step(k, x)
     divergent.sort()
     return x, divergent
+
+
+def row_blocks(n: int, d: int) -> list[slice]:
+    """The row blocks of an ``(n, d)`` state: balanced slices in row order that cover ``range(n)``.
+
+    There are as many blocks as it takes to hold about ``BLOCK_BYTES`` of state each, but never so many
+    that one has fewer than ``BLOCK_FLOOR`` rows: a batch of fewer rows is one block, an empty one
+    included.  The bounds between blocks are multiples of ``BLOCK_ALIGN``, and the last block takes the
+    rows past the last multiple.
+    """
+    most = max(BLOCK_BYTES // (8 * max(d, 1)), BLOCK_FLOOR)
+    count = max(1, min(-(-n // most), n // BLOCK_FLOOR))
+    units = n // BLOCK_ALIGN
+    bounds = [BLOCK_ALIGN * (units * i // count) for i in range(count)] + [n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def attack_blocks(
+    block, n: int, d: int, metric: FairMetric, cfg: AttackConfig, skip_divergent: bool = False, on_step=None
+):
+    """Attack ``n`` rows of dimension ``d`` one row block of ``row_blocks`` at a time through ``unfair_map_batch``.
+
+    ``block(rows)`` returns the ``(model, x0, y)`` of the rows in the slice ``rows``, so no caller has to
+    hold the inputs of every row at once (``sim.sweep_heatmap`` builds each block's stacked cells this
+    way).  For each block in row order this yields ``(rows, model, x0, y, x_final, divergent)``, where
+    ``divergent`` lists the block's divergent rows by their global indices.
+
+    ``on_step(k, x, rows)``, if given, sees each block's states as the kernel's ``on_step(k, x)`` does,
+    with the block's slice ``rows``: ``k = 0..num_steps`` for the first block, then for the next.
+
+    Without ``skip_divergent`` a divergence raises ``DivergenceError`` only after every block has run, and
+    names the earliest step over all blocks and the lowest row diverging at that step, as one state of all
+    rows would: nothing more is yielded or observed, and each later block runs only to the step before.
+    """
+    first = None
+    for rows in row_blocks(n, d):
+        model, x0, y = block(rows)
+        if first is not None:
+            try:
+                unfair_map_batch(model, metric, replace(cfg, num_steps=first.step - 1), x0, y)
+            except DivergenceError as exc:
+                first = DivergenceError(exc.step, rows.start + exc.sample)
+            continue
+        observe = None if on_step is None else lambda k, x: on_step(k, x, rows)
+        try:
+            x, divergent = unfair_map_batch(model, metric, cfg, x0, y, skip_divergent, observe)
+        except DivergenceError as exc:
+            first = DivergenceError(exc.step, rows.start + exc.sample)
+            continue
+        yield rows, model, x0, y, x, [rows.start + i for i in divergent]
+    if first is not None:
+        raise first
+
+
+def attack_rows(model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_divergent: bool = False, on_step=None):
+    """``unfair_map_batch`` of one model over the ``(n, d)`` starts ``x0`` and ``(n,)`` labels ``y``, in row blocks.
+
+    Returns ``(x_final, divergent)`` as the kernel does, with ``x_final`` a new ``(n, d)`` array and
+    ``divergent`` the sorted global indices of the divergent rows; ``on_step(k, x, rows)`` and the
+    divergence rule are ``attack_blocks``'s.  The inputs are checked whole before any block runs.
+    """
+    x0, y = _checked_batch(x0, y)
+    x_final = np.empty(x0.shape)
+    divergent: list[int] = []
+    for rows, *_, x, block_divergent in attack_blocks(
+        lambda rows: (model, x0[rows], y[rows]), *x0.shape, metric, cfg, skip_divergent, on_step
+    ):
+        x_final[rows] = x
+        divergent += block_divergent
+    return x_final, divergent
 
 
 @dataclass(frozen=True)

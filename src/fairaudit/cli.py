@@ -25,11 +25,9 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 # every library module but ``dataset`` and the ``linalg`` it loads is imported by the commands that call it, so
 # each command loads only its own modules
-from .dataset import _expect, _read_json_object, _Stream, atomic_write_text, load_csv, save_csv, split_csv, write_csv
+from .dataset import _expect, _read_json_object, atomic_write_text, load_csv, save_csv, split_csv, write_csv
 from .linalg import DEFAULT_RANK_TOL
 
 EXIT_OK = 0
@@ -273,61 +271,43 @@ def run_metric(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _write_trace(path, index, trace) -> None:
-    """Write the JSONL trace of an audit: one record per sample and step, sample-major.
-
-    Each record is one line of JSON with sorted keys and ``json``'s default separators, spelled out
-    directly and joined per sample while the file is written: floats and lists of floats use ``repr``,
-    which matches ``json`` for finite values only, so every value must be finite.
-    """
-    if not all(np.all(np.isfinite(a)) for a in (trace.iterates, trace.losses, trace.penalties)):
-        raise ValueError("audit: trace holds non-finite values")
-
-    def samples():
-        for j, sample in enumerate(index.tolist()):
-            rows = zip(trace.losses[:, j].tolist(), trace.penalties[:, j].tolist(), trace.iterates[:, j].tolist())
-            yield "".join(
-                [
-                    f'{{"loss": {loss!r}, "penalty": {penalty!r}, "sample": {sample}, "step": {k}, "x": {x!r}}}\n'
-                    for k, (loss, penalty, x) in enumerate(rows)
-                ]
-            )
-
-    atomic_write_text(path, _Stream(len(index), samples()))
-
-
 def run_audit(cfg: dict) -> int:
-    from .attack import AttackConfig, AttackTrace
+    from .attack import AttackConfig
     from .inference import audit
 
     model = _traced("load_model")(cfg["model"])
     metric = _traced("load_metric")(cfg["metric"])
     ds = _load_dataset(cfg)
     attack_cfg = _build(AttackConfig, cfg)
-    # a traced audit keeps every state of its one attack, divergent rows included
-    states = None if cfg["trace_output"] is None else np.empty((attack_cfg.num_steps + 1, *ds.features.shape))
-    report = audit(
-        model,
-        metric,
-        attack_cfg,
-        ds.features,
-        ds.labels,
-        alpha=cfg["alpha"],
-        delta=cfg["delta"],
-        skip_divergent=cfg["skip_divergent"],
-        include_error_rate=cfg["error_rate"],
-        on_step=None if states is None else states.__setitem__,
-    )
-    atomic_write_text(cfg["report_output"], report.to_json(extra={"config": cfg}))
-    if cfg["samples_output"] is not None:
-        rows = list(zip(report.index, report.ratios, report.pre01, report.post01))
-        write_csv(cfg["samples_output"], ["index", "ratio", "pre01", "post01"], rows)
-    if states is not None:
-        idx = report.index
-        if idx.size < ds.n:
-            states = states[:, idx]  # a copy only to drop rows
-        trace = AttackTrace.record(model, metric, attack_cfg, states, ds.features[idx], ds.labels[idx])
-        _write_trace(cfg["trace_output"], idx, trace)
+    # a traced audit spills every state of its one attack to disk, divergent rows included
+    spill = None
+    if cfg["trace_output"] is not None:
+        from .tracefile import TraceSpill
+
+        spill = TraceSpill(cfg["trace_output"], attack_cfg.num_steps + 1, *ds.features.shape)
+    try:
+        report = audit(
+            model,
+            metric,
+            attack_cfg,
+            ds.features,
+            ds.labels,
+            alpha=cfg["alpha"],
+            delta=cfg["delta"],
+            skip_divergent=cfg["skip_divergent"],
+            include_error_rate=cfg["error_rate"],
+            on_step=None if spill is None else spill.write_state,
+        )
+        atomic_write_text(cfg["report_output"], report.to_json(extra={"config": cfg}))
+        if cfg["samples_output"] is not None:
+            rows = list(zip(report.index, report.ratios, report.pre01, report.post01))
+            write_csv(cfg["samples_output"], ["index", "ratio", "pre01", "post01"], rows)
+        if spill is not None:
+            spill.record(model, metric, attack_cfg, report.index, ds.features, ds.labels)
+            spill.write_jsonl(cfg["trace_output"])
+    finally:
+        if spill is not None:
+            spill.close()
     verdict = "reject" if report.reject else "fail to reject"
     print(f"audit: n={report.n} s_n={report.s_n:.6g} t_n={report.t_n:.6g} delta={report.delta} -> {verdict}")
     return EXIT_REJECT if report.reject else EXIT_OK

@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attack import AttackConfig, unfair_map_batch
+from .attack import AttackConfig, attack_rows
+from .attack import unfair_map_batch  # noqa: F401  bench/traced_cli.py wraps this name; ROADMAP item 14 moves it
 from .dataset import json_text
 from .fair_metric import FairMetric
 from .linalg import fields_equal
@@ -270,24 +271,27 @@ def audit(
     test raises ``NoBaselineErrors`` naming the dropped rows.  The caller
     is responsible for auditing on data the model was not trained on; the
     report carries that obligation as a note.
-    ``on_step`` is passed to the attack unchanged: it sees every state of
-    the full batch, rows later dropped for divergence included, and the
-    report's ``index`` names the rows that were kept.
+    ``on_step(k, x, rows)`` is passed to ``attack.attack_rows`` unchanged: it
+    sees every state of every row block, rows later dropped for divergence
+    included, and the report's ``index`` names the rows that were kept.
     """
-    x = np.asarray(features, dtype=np.float64)
+    # the ratios and predictions read x itself unless rows are dropped, and C order gives them the bits of a copy
+    x = np.ascontiguousarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     check_levels(alpha, delta)
-    attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x, y, skip_divergent=skip_divergent, on_step=on_step)
+    attacked, divergent = attack_rows(model, metric, attack_cfg, x, y, skip_divergent=skip_divergent, on_step=on_step)
 
-    keep = np.ones(x.shape[0], dtype=bool)
-    keep[list(divergent)] = False
-    idx = np.flatnonzero(keep)
+    idx, x_kept, y_kept = np.arange(x.shape[0]), x, y
+    if divergent:  # copies only to drop rows
+        idx = np.delete(idx, divergent)
+        x_kept, y_kept, attacked = x[idx], y[idx], attacked[idx]
     if idx.size < 2:
         raise ValueError("fewer than two non-divergent samples; cannot audit")
 
-    ratios = model.loss(attacked[idx], y[idx]) / model.loss(x[idx], y[idx])
-    pre01 = (_predictions(model, x[idx]) != y[idx].astype(np.int64)).astype(np.int64)
-    post01 = (_predictions(model, attacked[idx]) != y[idx].astype(np.int64)).astype(np.int64)
+    ratios = model.loss(attacked, y_kept) / model.loss(x_kept, y_kept)
+    labels01 = y_kept.astype(np.int64)
+    pre01 = (_predictions(model, x_kept) != labels01).astype(np.int64)
+    post01 = (_predictions(model, attacked) != labels01).astype(np.int64)
 
     if include_error_rate and divergent and not pre01.any():
         dropped = list(divergent)

@@ -29,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import inference
-from .attack import AttackConfig, audit_preset, constant_config_for_horizon, unfair_map_batch
+from .attack import AttackConfig, attack_blocks, attack_rows, audit_preset, constant_config_for_horizon
+from .attack import unfair_map_batch  # noqa: F401  bench/traced_cli.py wraps this name; ROADMAP item 14 moves it
 from .fair_metric import FairMetric
 from .linalg import fields_equal, spectral_norm
 from .models import _check_labels, expit, loss_from_logit
@@ -40,8 +41,6 @@ SWEEP_GRID = (-4.0, 4.0, 0.4)  # (lo, hi, step) of both axes of the default heat
 # most values one grid axis may have, about 48 times the paper's 21; a larger count is a mistyped step, and at
 # a step such as 1e-300 building the tuple would never return
 MAX_GRID_VALUES = 1000
-# rows of the stacked (cell, sample) state that one attack call advances together
-SWEEP_ROW_BLOCK = 4096
 
 
 def fit_bias(features, labels, w1: float, w2: float) -> float:
@@ -178,9 +177,10 @@ def sweep_heatmap(
     Cells are emitted in row-major order (outer loop over theta1).  Cells
     whose attack diverges are flagged rather than aborting the sweep.
 
-    Every (cell, sample) pair is one row of a stacked state that the attack
-    advances in blocks of ``SWEEP_ROW_BLOCK`` rows; a cell is divergent if
-    any of its rows diverged.  The other cells are folded as one stack.
+    Every (cell, sample) pair is one row of a stacked state that
+    ``attack.attack_blocks`` advances, building each row block's cells only
+    when it runs; a cell is divergent if any of its rows diverged.  The
+    other cells are folded as one stack.
     """
     x = np.asarray(features, dtype=np.float64)
     y = _check_labels(labels, len(x), scalar=False)
@@ -188,16 +188,19 @@ def sweep_heatmap(
     pairs = [(w1, w2) for w1 in grid.w1_values for w2 in grid.w2_values]
     biases = [fit_bias(x, y, w1, w2) for w1, w2 in pairs]
     cell_weights, cell_bias = np.array(pairs), np.array(biases)
+
+    def cells(rows):
+        cell, sample = np.divmod(np.arange(rows.start, rows.stop), n)
+        return StackedLogistic(weights=cell_weights[cell], bias=cell_bias[cell]), x[sample], y[sample]
+
     total = len(pairs) * n
     ratios = np.empty(total)
     diverged = np.zeros(len(pairs), dtype=bool)
-    for lo in range(0, total, SWEEP_ROW_BLOCK):
-        cell, sample = np.divmod(np.arange(lo, min(lo + SWEEP_ROW_BLOCK, total)), n)
-        model = StackedLogistic(weights=cell_weights[cell], bias=cell_bias[cell])
-        x0, y0 = x[sample], y[sample]
-        attacked, divergent = unfair_map_batch(model, metric, attack_cfg, x0, y0, skip_divergent=True)
-        ratios[lo : lo + len(cell)] = model.loss(attacked, y0) / model.loss(x0, y0)
-        diverged[cell[divergent]] = True
+    for rows, model, x0, y0, attacked, divergent in attack_blocks(
+        cells, total, x.shape[1], metric, attack_cfg, skip_divergent=True
+    ):
+        ratios[rows] = model.loss(attacked, y0) / model.loss(x0, y0)
+        diverged[np.array(divergent, dtype=np.intp) // n] = True
     t_n = np.full(len(pairs), np.nan)
     reject = np.zeros(len(pairs), dtype=bool)
     t_n[~diverged], reject[~diverged] = inference.loss_ratio_test(ratios.reshape(-1, n)[~diverged], alpha, delta)
@@ -236,11 +239,11 @@ def stopping_time_sweep(
     base = model.loss(x, y)
     ratios = np.empty((len(cfgs), x.shape[0]))
 
-    def at_horizons(k, xk):
+    def at_horizons(k, xk, rows):
         if k in counts:
-            ratios[counts == k] = model.loss(xk, y) / base
+            ratios[counts == k, rows] = model.loss(xk, y[rows]) / base[rows]
 
-    unfair_map_batch(model, metric, cfgs[-1], x, y, on_step=at_horizons)
+    attack_rows(model, metric, cfgs[-1], x, y, on_step=at_horizons)
     t_n = inference.one_sided_lower_bound(ratios, alpha)
     return [(c.horizon, t) for c, t in zip(cfgs, t_n.tolist())]
 
@@ -284,7 +287,7 @@ def robustness_experiment(
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     e = perturbation_direction(metric_exact.dim, perturb_seed)
-    attacked, _ = unfair_map_batch(model, metric_exact, attack_cfg, x, y)
+    attacked, _ = attack_rows(model, metric_exact, attack_cfg, x, y)
     clean = model.loss(x, y)
     base = model.loss(attacked, y) / clean
     out = []
@@ -292,7 +295,7 @@ def robustness_experiment(
         other = base
         if s > 0.0:
             metric2 = FairMetric(sigma=floor_psd(metric_exact.sigma + s * e))
-            attacked2, _ = unfair_map_batch(model, metric2, attack_cfg, x, y)
+            attacked2, _ = attack_rows(model, metric2, attack_cfg, x, y)
             other = model.loss(attacked2, y) / clean
         out.append((s, float(np.max(np.abs(base - other)))))
     return out

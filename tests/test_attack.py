@@ -6,7 +6,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import helpers
+from fairaudit import attack as attack_module
 from fairaudit.attack import (
+    BLOCK_ALIGN,
+    BLOCK_BYTES,
+    BLOCK_FLOOR,
     DIVERGENCE_RADIUS,
     AttackConfig,
     AttackTrace,
@@ -14,9 +18,11 @@ from fairaudit.attack import (
     LinearFlowProblem,
     StabilityBoundError,
     StabilityProbe,
+    attack_rows,
     audit_preset,
     constant_config_for_horizon,
     flow_field,
+    row_blocks,
     sim_preset,
     stability_gap,
     unfair_map,
@@ -25,7 +31,7 @@ from fairaudit.attack import (
 from fairaudit.fair_metric import FairMetric, rotated_coordinate_metric
 from fairaudit.inference import audit
 from fairaudit.models import LogisticModel, MlpModel
-from fairaudit.sim import StackedLogistic, fit_bias
+from fairaudit.sim import StackedLogistic, fit_bias, robustness_experiment, stopping_time_sweep
 
 
 def recorded(attack, model, metric, cfg, x0, y, **kwargs):
@@ -759,3 +765,146 @@ class TestTraceEquality:
         assert dataclasses.replace(self.trace(), losses=None) != self.trace()
         with pytest.raises(TypeError):
             hash(self.trace())
+
+
+class RateStub:
+    """Gradient ``y * x``: from a start of ones a row with label ``y`` grows as ``(1 + eta y)^k``."""
+
+    def loss(self, x, y):
+        return np.ones(len(x))
+
+    def input_gradient(self, x, y):
+        return y[:, None] * x
+
+
+def _blocked_case():
+    """A 1003x40 batch, which the driver attacks in five blocks, and a logistic and a 50-unit tanh MLP model."""
+    rng = np.random.default_rng(26)
+    n, dim, hidden = 1003, 40, 50
+    x = rng.normal(size=(n, dim))
+    y = (rng.random(n) < 0.5).astype(float)
+    models = {
+        "logistic": LogisticModel(weights=rng.normal(scale=0.3, size=dim), bias=0.1),
+        "mlp": MlpModel(
+            layer1_weights=rng.normal(scale=dim**-0.5, size=(hidden, dim)),
+            layer1_bias=rng.normal(scale=0.1, size=hidden),
+            layer2_weights=rng.normal(size=hidden),
+            layer2_bias=0.2,
+        ),
+    }
+    sigma = np.eye(dim)
+    sigma[0, 0] = sigma[1, 1] = 0.0  # the projector off the first two coordinates, as a learned metric has
+    return x, y, models, FairMetric(sigma=sigma)
+
+
+BLOCKED_X, BLOCKED_Y, BLOCKED_MODELS, BLOCKED_METRIC = _blocked_case()
+BLOCKED_CFG = AttackConfig(lam=50.0, num_steps=40)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("dim", [1, 2, 40, 200, 1000])
+    def test_split_is_balanced_aligned_and_never_below_the_floor(self, dim):
+        most = max(BLOCK_BYTES // (8 * dim), BLOCK_FLOOR)
+        for n in range(0, 3000):
+            blocks = row_blocks(n, dim)
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            sizes = [b.stop - b.start for b in blocks]
+            if n < BLOCK_FLOOR:
+                assert sizes == [n]
+                continue
+            assert min(sizes) >= BLOCK_FLOOR
+            assert all(b.start % BLOCK_ALIGN == 0 for b in blocks)
+            assert max(sizes) - min(sizes) < 2 * BLOCK_ALIGN
+            # no fewer blocks than the bytes rule asks for, unless the floor forbids them
+            assert len(blocks) == min(-(-n // most), n // BLOCK_FLOOR)
+
+    def test_the_sweeps_and_the_audits_block_sizes(self):
+        assert BLOCK_BYTES // (8 * 2) == 4096 and BLOCK_BYTES // (8 * 40) == 204
+        assert [b.stop - b.start for b in row_blocks(81 * 400, 2)] == [4048] * 7 + [4064]
+        assert [b.stop - b.start for b in row_blocks(1000, 40)] == [192, 192, 208, 192, 216]
+        assert [b.stop - b.start for b in row_blocks(BLOCKED_X.shape[0], 40)] == [192, 192, 208, 192, 219]
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_MODELS))
+    def test_every_state_matches_one_state_bitwise(self, name):
+        model = BLOCKED_MODELS[name]
+        steps = BLOCKED_CFG.num_steps + 1
+        states = np.full((steps, *BLOCKED_X.shape), np.nan)
+        calls = []
+
+        def record(k, x, rows):
+            calls.append((k, rows))
+            states[k, rows] = x
+
+        out, divergent = attack_rows(model, BLOCKED_METRIC, BLOCKED_CFG, BLOCKED_X, BLOCKED_Y, on_step=record)
+        ref, ref_divergent, ref_states = recorded(unfair_map_batch, model, BLOCKED_METRIC, BLOCKED_CFG, BLOCKED_X, BLOCKED_Y)
+        assert calls == [(k, rows) for rows in row_blocks(*BLOCKED_X.shape) for k in range(steps)]
+        assert divergent == ref_divergent == []
+        assert_array_equal(out, ref)
+        assert_array_equal(states, ref_states)
+        assert not np.array_equal(ref, BLOCKED_X)
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED_MODELS))
+    def test_audit_stopping_sweep_and_robustness_match_one_state_bitwise(self, name, monkeypatch):
+        model = BLOCKED_MODELS[name]
+
+        def run():
+            report = audit(model, BLOCKED_METRIC, BLOCKED_CFG, BLOCKED_X, BLOCKED_Y, include_error_rate=False)
+            stopping = stopping_time_sweep(
+                model, BLOCKED_METRIC, BLOCKED_X, BLOCKED_Y, horizons=[0.1, 0.25, 0.4], lam=BLOCKED_CFG.lam
+            )
+            robustness = robustness_experiment(model, BLOCKED_METRIC, [0.5, 0.0], BLOCKED_X, BLOCKED_Y, BLOCKED_CFG)
+            return report, stopping, robustness
+
+        blocked = run()
+        # the driver then attacks every batch as one state, as the kernel alone would
+        monkeypatch.setattr(attack_module, "row_blocks", lambda n, d: [slice(0, n)])
+        whole = run()
+        assert_array_equal(blocked[0].ratios, whole[0].ratios)
+        assert blocked[0] == whole[0]
+        assert blocked[1] == whole[1] and blocked[2] == whole[2]
+        assert blocked[2][0][1] > 0.0
+
+    @pytest.mark.parametrize(
+        "rates, step, sample",
+        [({5: 1.0, 450: 3.0}, 9, 450), ({5: 3.0, 450: 3.0}, 9, 5), ({5: 3.0, 450: 1.0}, 9, 5), ({900: 1.0}, 18, 900)],
+        ids=["later-block-earlier-step", "same-step-lower-row", "earlier-block-earlier-step", "last-block"],
+    )
+    def test_divergence_names_the_earliest_step_over_all_blocks(self, rates, step, sample):
+        # from ones at d = 40, rate 1 leaves the radius at step 18 (2^18 sqrt(40) > 1e6) and rate 3 at step 9
+        x0, y = np.ones((1000, 40)), np.zeros(1000)
+        y[list(rates)] = list(rates.values())
+        metric, cfg = FairMetric(sigma=np.zeros((40, 40))), AttackConfig(lam=1.0, num_steps=30, eta=1.0)
+        assert len(row_blocks(1000, 40)) == 5
+        message = f"^attack diverged at step {step} on sample {sample}$"
+        with pytest.raises(DivergenceError, match=message) as blocked:
+            attack_rows(RateStub(), metric, cfg, x0, y)
+        with pytest.raises(DivergenceError, match=message) as whole:
+            unfair_map_batch(RateStub(), metric, cfg, x0, y)
+        assert (blocked.value.step, blocked.value.sample) == (whole.value.step, whole.value.sample) == (step, sample)
+        out, divergent = attack_rows(RateStub(), metric, cfg, x0, y, skip_divergent=True)
+        ref, ref_divergent = unfair_map_batch(RateStub(), metric, cfg, x0, y, skip_divergent=True)
+        assert divergent == ref_divergent == sorted(rates)
+        assert_array_equal(out, ref)
+
+    def test_nothing_is_observed_past_a_divergence(self):
+        x0, y = np.ones((1000, 40)), np.zeros(1000)
+        y[450] = 3.0
+        seen = []
+        with pytest.raises(DivergenceError, match="step 9 on sample 450$"):
+            attack_rows(
+                RateStub(), FairMetric(sigma=np.zeros((40, 40))), AttackConfig(lam=1.0, num_steps=30, eta=1.0), x0, y,
+                on_step=lambda k, x, rows: seen.append((k, rows.start)),
+            )
+        blocks = row_blocks(1000, 40)
+        # the blocks before the divergent one run every step, and the divergent one stops before its step 9
+        assert seen == [(k, b.start) for b in blocks[:2] for k in range(31)] + [(k, blocks[2].start) for k in range(9)]
+
+    def test_inputs_are_checked_whole_before_any_block_runs(self, monkeypatch):
+        monkeypatch.setattr(attack_module, "unfair_map_batch", lambda *a, **k: pytest.fail("attacked unchecked inputs"))
+        x0 = np.zeros((600, 40))
+        x0[599, 3] = np.nan
+        with pytest.raises(ValueError, match=r"got shapes \(600, 40\) and \(600,\)"):
+            attack_rows(RateStub(), FairMetric(sigma=np.eye(40)), BLOCKED_CFG, x0, np.zeros(600))
+        with pytest.raises(ValueError, match=r"got shapes \(600, 40\) and \(599,\)"):
+            attack_rows(RateStub(), FairMetric(sigma=np.eye(40)), BLOCKED_CFG, np.zeros((600, 40)), np.zeros(599))

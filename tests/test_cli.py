@@ -1,11 +1,13 @@
 import json
+import os
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fairaudit import attack, cli, dataset, fair_metric, inference, models, sim, synthetic
-from fairaudit.attack import AttackTrace
+from fairaudit import attack, cli, dataset, fair_metric, inference, models, sim, synthetic, tracefile
+from fairaudit.attack import AttackConfig, AttackTrace
 from fairaudit.dataset import Dataset
 from fairaudit.fair_metric import FairMetric, load_metric, save_metric
 from fairaudit.models import LogisticModel, MlpModel, load_model, save_model
@@ -1023,21 +1025,28 @@ class TestJsonArtifacts:
         assert (tmp_path / "metric.json").read_bytes() == GOLDEN_METRIC.encode()
 
     def test_trace_bytes(self, tmp_path, sim_csv, metric_file, monkeypatch):
-        # two samples (rows 0 and 3) over two states, replaced by fixed values so the file pins only its spelling
-        trace = AttackTrace(
-            iterates=np.array([[[0.1, -2.5], [1.0, 0.0]], [[1e-17, 3.0], [1 / 3, -0.0]]]),
-            losses=np.array([[0.5, 2.0], [1.25, 1e-12]]),
-            penalties=np.array([[0.0, 0.0], [0.1, 1e-17]]),
-            step_sizes=np.array([0.5]),
-            horizon=0.5,
-        )
+        # two kept samples (rows 0 and 3 of the four observed; rows 1 and 2 are dropped) over two states, whose
+        # states, losses and penalties are fixed values so the file pins only its spelling
+        states = np.full((2, 4, 2), np.nan)
+        states[:, [0, 3]] = [[[0.1, -2.5], [1.0, 0.0]], [[1e-17, 3.0], [1 / 3, -0.0]]]
+        losses = iter(np.array([[0.5, 2.0], [1.25, 1e-12]]))
+        penalties = iter(np.array([[0.0, 0.0], [0.1, 1e-17]]))
         report = SimpleNamespace(
             index=np.array([0, 3]), reject=False, n=2, s_n=1.0, t_n=0.5, delta=1.25, to_json=lambda extra: "{}\n"
         )
-        monkeypatch.setattr(inference, "audit", lambda *a, **k: report)
-        monkeypatch.setattr(AttackTrace, "record", lambda *a, **k: trace)
+
+        def observed_audit(*args, on_step, **kwargs):
+            for k, x in enumerate(states):
+                on_step(k, x, slice(0, 4))
+            return report
+
+        monkeypatch.setattr(inference, "audit", observed_audit)
+        monkeypatch.setattr(LogisticModel, "loss", lambda self, x, y: next(losses))
+        monkeypatch.setattr(FairMetric, "distance_sq", lambda self, x, x0: next(penalties))
         model = write_config(tmp_path, "model.json", TestModelAndMetricFileTypes.LOGISTIC)
-        cfg = audit_config(tmp_path, model, metric_file, sim_csv, trace_output=str(tmp_path / "trace.jsonl"))
+        cfg = audit_config(
+            tmp_path, model, metric_file, sim_csv, lam=1.0, num_steps=1, trace_output=str(tmp_path / "trace.jsonl")
+        )
         assert cli.main(["audit", "--config", cfg]) == cli.EXIT_OK
         assert (tmp_path / "trace.jsonl").read_text() == (
             '{"loss": 0.5, "penalty": 0.0, "sample": 0, "step": 0, "x": [0.1, -2.5]}\n'
@@ -1103,6 +1112,134 @@ class TestBatchedTrace:
         rows = (tmp_path / "samples.csv").read_text().splitlines()[1:]
         ratios = np.array([float(row.split(",")[1]) for row in rows])
         np.testing.assert_array_equal(losses[:, -1] / losses[:, 0], ratios)
+
+
+def trace_records(path, steps):
+    """The samples of a JSONL trace, and its states, losses and penalties as ``(steps, samples, ...)`` arrays."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    samples = [r["sample"] for r in records[::steps]]
+    assert [(r["sample"], r["step"]) for r in records] == [(i, k) for i in samples for k in range(steps)]
+
+    def column(key):
+        values = np.array([r[key] for r in records])
+        return np.swapaxes(values.reshape(len(samples), steps, *values.shape[1:]), 0, 1)
+
+    return samples, column("x"), column("loss"), column("penalty")
+
+
+class TestStreamedTrace:
+    """A traced audit spills its states to an unnamed file and writes the JSONL from it, with the bits of
+    ``AttackTrace.record`` over the kept rows of one state of all rows."""
+
+    # seven rows of 21 steps of 40 features, losses and penalties, so groups split the spill's blocks; with
+    # chunks of 8 lines each sample's 21 lines are joined as 8, 8 and 5
+    SMALL_GROUPS = 21 * 42 * 8 * 7
+
+    @staticmethod
+    def dense_files(tmp_path, n=300, dim=40, hidden=50):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(n, dim))
+        y = (rng.random(n) < 0.5).astype(np.int64)
+        dataset.write_csv(tmp_path / "dense.csv", [f"f{j}" for j in range(dim)] + ["label"],
+                          [(*row.tolist(), label) for row, label in zip(x, y.tolist())])
+        model = MlpModel(
+            layer1_weights=rng.normal(scale=dim**-0.5, size=(hidden, dim)),
+            layer1_bias=rng.normal(scale=0.1, size=hidden),
+            layer2_weights=rng.normal(size=hidden),
+            layer2_bias=0.2,
+        )
+        save_model(model, tmp_path / "mlp.json")
+        sigma = np.eye(dim)
+        sigma[0, 0] = sigma[1, 1] = 0.0
+        save_metric(FairMetric(sigma=sigma), tmp_path / "projector.json")
+        return str(tmp_path / "mlp.json"), str(tmp_path / "projector.json"), str(tmp_path / "dense.csv")
+
+    @staticmethod
+    def reference(model_path, metric_path, data, cfg, protected, skip_divergent):
+        """``AttackTrace.record`` of the kept rows of one state of all rows, and those rows."""
+        model, metric = load_model(model_path), load_metric(metric_path)
+        ds = dataset.load_csv(data, label_column="label", protected_columns=protected)
+        y = ds.labels.astype(float)
+        states = np.empty((cfg.num_steps + 1, *ds.features.shape))
+        _, divergent = attack.unfair_map_batch(
+            model, metric, cfg, ds.features, y, skip_divergent=skip_divergent, on_step=states.__setitem__
+        )
+        kept = np.delete(np.arange(ds.n), divergent)
+        return kept, AttackTrace.record(model, metric, cfg, states[:, kept], ds.features[kept], y[kept])
+
+    @pytest.mark.parametrize(
+        "group_bytes, chunk_lines", [(tracefile.GROUP_BYTES, tracefile.CHUNK_LINES), (SMALL_GROUPS, 8)],
+        ids=["default-groups", "small-groups"],
+    )
+    def test_blocked_mlp_trace_equals_attack_trace_record_bitwise(self, tmp_path, monkeypatch, group_bytes, chunk_lines):
+        monkeypatch.setattr(tracefile, "GROUP_BYTES", group_bytes)
+        monkeypatch.setattr(tracefile, "CHUNK_LINES", chunk_lines)
+        model, metric, data = self.dense_files(tmp_path)
+        assert len(attack.row_blocks(300, 40)) == 2
+        cfg = audit_config(tmp_path, model, metric, data, protected_columns=[], num_steps=20,
+                           trace_output=str(tmp_path / "trace.jsonl"))
+        assert cli.main(["audit", "--config", cfg]) in (cli.EXIT_OK, cli.EXIT_REJECT)
+        kept, trace = self.reference(model, metric, data, AttackConfig(lam=50.0, num_steps=20), [], False)
+        samples, states, losses, penalties = trace_records(tmp_path / "trace.jsonl", 21)
+        assert samples == kept.tolist() == list(range(300))
+        np.testing.assert_array_equal(states, trace.iterates)
+        np.testing.assert_array_equal(losses, trace.losses)
+        np.testing.assert_array_equal(penalties, trace.penalties)
+
+    @pytest.mark.parametrize(
+        "group_bytes, chunk_lines", [(tracefile.GROUP_BYTES, tracefile.CHUNK_LINES), (21 * 4 * 8 * 7, 8)],
+        ids=["default-groups", "small-groups"],
+    )
+    def test_trace_without_the_dropped_rows_equals_attack_trace_record_bitwise(
+        self, tmp_path, monkeypatch, group_bytes, chunk_lines
+    ):
+        monkeypatch.setattr(tracefile, "GROUP_BYTES", group_bytes)
+        monkeypatch.setattr(tracefile, "CHUNK_LINES", chunk_lines)
+        cfg = TestAuditCommand.divergent_audit_config(
+            tmp_path, skip_divergent=True, error_rate=False, trace_output=str(tmp_path / "trace.jsonl")
+        )
+        assert cli.main(["audit", "--config", cfg]) in (cli.EXIT_OK, cli.EXIT_REJECT)
+        kept, trace = self.reference(
+            str(tmp_path / "model.json"), str(tmp_path / "identity.json"), str(tmp_path / "data.csv"),
+            AttackConfig(lam=1.0, num_steps=20, eta=1.5), ["group"], True,
+        )
+        samples, states, losses, penalties = trace_records(tmp_path / "trace.jsonl", 21)
+        assert len(kept) == 52 and samples == kept.tolist()
+        np.testing.assert_array_equal(states, trace.iterates)
+        np.testing.assert_array_equal(losses, trace.losses)
+        np.testing.assert_array_equal(penalties, trace.penalties)
+
+    @pytest.mark.parametrize("case", ["success", "divergence", "non-finite"])
+    def test_no_spill_or_part_file_stays(self, tmp_path, monkeypatch, capsys, case):
+        out = tmp_path / "out"
+        out.mkdir()
+        spills, make = [], tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", lambda **k: spills.append((k, make(**k))) or spills[-1][1])
+        cfg = TestAuditCommand.divergent_audit_config(
+            tmp_path, skip_divergent=case != "divergence", error_rate=False, trace_output=str(out / "trace.jsonl"),
+            report_output=str(out / "report.json"),
+        )
+        if case == "non-finite":
+            # the last kept row's penalties overflow, so the JSONL fails after earlier groups were written
+            monkeypatch.setattr(tracefile, "GROUP_BYTES", 21 * 4 * 8 * 7)
+            distance_sq = FairMetric.distance_sq
+            monkeypatch.setattr(
+                FairMetric, "distance_sq", lambda self, x, x0: np.append(distance_sq(self, x, x0)[:-1], np.inf)
+            )
+        capsys.readouterr()
+        code = cli.main(["audit", "--config", cfg])
+        assert [(k["dir"], f.closed) for k, f in spills] == [(str(out), True)]
+        if case == "success":
+            assert code in (cli.EXIT_OK, cli.EXIT_REJECT)
+            assert sorted(os.listdir(out)) == ["report.json", "trace.jsonl"]
+        elif case == "divergence":
+            assert code == cli.EXIT_ERROR
+            assert capsys.readouterr().err == "fairaudit audit: error: attack diverged at step 20 on sample 4\n"
+            assert os.listdir(out) == []
+        else:
+            assert code == cli.EXIT_ERROR
+            assert capsys.readouterr().err == "fairaudit audit: error: audit: trace holds non-finite values\n"
+            assert os.listdir(out) == ["report.json"]
 
 
 # the names an outside tracer wraps on ``cli`` before calling ``cli.main``, by owning module

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import ndtri
 
 import helpers
-from fairaudit import inference, sim
+from fairaudit import attack, inference, sim
 from fairaudit.attack import AttackConfig, AttackTrace, audit_preset, sim_preset
 from fairaudit.fair_metric import FairMetric, rotated_coordinate_metric
 from fairaudit.inference import (
@@ -372,7 +372,7 @@ class TestAudit:
         def no_attack(*args, **kwargs):
             raise AssertionError("attacked before checking the levels")
 
-        monkeypatch.setattr(inference, "unfair_map_batch", no_attack)
+        monkeypatch.setattr(attack, "unfair_map_batch", no_attack)
         metric = rotated_coordinate_metric(0.0)
         with pytest.raises(ValueError, match="alpha|delta"):
             audit(unfair_sim_model, metric, sim_preset(), sim_dataset.features, sim_dataset.labels, alpha=alpha, delta=delta)
@@ -417,6 +417,19 @@ class TestAudit:
         with pytest.raises(ValueError, match=r"got shapes \(60, 2\) and \(59,\)"):
             audit(unfair_sim_model, rotated_coordinate_metric(0.0), sim_preset(), x, y)
 
+    def test_fortran_ordered_features_give_the_ratios_of_c_ordered_ones(self):
+        # the logistic loss of an F-ordered batch rounds differently, and with no row dropped the audit reads its input
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(300, 40))
+        y = (rng.random(300) < 0.5).astype(float)
+        model = LogisticModel(weights=rng.normal(scale=0.3, size=40), bias=0.1)
+        assert not np.array_equal(model.loss(np.asfortranarray(x), y), model.loss(x, y))
+        metric, cfg = FairMetric(sigma=np.eye(40)), AttackConfig(lam=50.0, num_steps=5)
+        c_ordered = audit(model, metric, cfg, x, y)
+        f_ordered = audit(model, metric, cfg, np.asfortranarray(x), y)
+        assert_array_equal(f_ordered.ratios, c_ordered.ratios)
+        assert f_ordered == c_ordered
+
     def test_traced_report_equality_and_serialized_form(self, sim_dataset, unfair_sim_model):
         """An observer sees each state of the audit's one attack and leaves the report as it is."""
         metric = rotated_coordinate_metric(0.0)
@@ -424,11 +437,13 @@ class TestAudit:
         x, y = sim_dataset.features[:60], sim_dataset.labels[:60]
         plain = audit(unfair_sim_model, metric, cfg, x, y)
         calls = []
-        observed = audit(unfair_sim_model, metric, cfg, x, y, on_step=lambda k, xk: calls.append((k, xk.copy())))
-        assert [(k, xk.shape) for k, xk in calls] == [(k, (60, 2)) for k in range(41)]
+        observed = audit(
+            unfair_sim_model, metric, cfg, x, y, on_step=lambda k, xk, rows: calls.append((k, xk.copy(), rows))
+        )
+        assert [(k, xk.shape, rows) for k, xk, rows in calls] == [(k, (60, 2), slice(0, 60)) for k in range(41)]
         assert observed.index.tolist() == list(range(60))
         assert_array_equal(calls[0][1], x)
-        trace = AttackTrace.record(unfair_sim_model, metric, cfg, np.array([xk for _, xk in calls]), x, y)
+        trace = AttackTrace.record(unfair_sim_model, metric, cfg, np.array([xk for _, xk, _ in calls]), x, y)
         assert_array_equal(trace.losses[-1] / trace.losses[0], observed.ratios)
         assert "trace" not in {f.name for f in dataclasses.fields(observed)}
         assert observed == plain and not observed != plain
@@ -453,12 +468,14 @@ class TestAudit:
         metric = FairMetric(sigma=np.eye(3))
         cfg = AttackConfig(lam=0.01, num_steps=400, schedule="constant", eta=0.05)
         results = []
-        attack_fn = inference.unfair_map_batch
-        monkeypatch.setattr(inference, "unfair_map_batch", lambda *a, **k: results.append(attack_fn(*a, **k)) or results[-1])
+        attack_fn = attack.unfair_map_batch
+        monkeypatch.setattr(attack, "unfair_map_batch", lambda *a, **k: results.append(attack_fn(*a, **k)) or results[-1])
         states = np.full((401, 12, 3), np.nan)
-        report = audit(
-            stub, metric, cfg, x, y, skip_divergent=True, include_error_rate=False, on_step=states.__setitem__
-        )
+
+        def record(k, xk, rows):
+            states[k, rows] = xk
+
+        report = audit(stub, metric, cfg, x, y, skip_divergent=True, include_error_rate=False, on_step=record)
         assert len(results) == 1
         attacked, divergent = results[0][:2]
         assert divergent == [0, 1, 2, 3, 4]

@@ -114,7 +114,7 @@ class TestFitBias:
                 sim.fit_bias(x, y, 1.0, 0.0)
             else:
                 monkeypatch.setattr(sim, "fit_bias", no_call)
-                monkeypatch.setattr(sim, "unfair_map_batch", no_call)
+                monkeypatch.setattr(attack, "unfair_map_batch", no_call)
                 sim.sweep_heatmap(x, y, sim.GridSpec((0.0, 1.0), (0.0,)), true_metric, attack.sim_preset())
 
 
@@ -285,8 +285,8 @@ class TestRobustness:
 
     def test_attacks_once_per_positive_scale(self, sim_dataset, true_metric, unfair_sim_model, monkeypatch):
         calls = []
-        attack_fn = sim.unfair_map_batch
-        monkeypatch.setattr(sim, "unfair_map_batch", lambda *a, **k: calls.append(a[1]) or attack_fn(*a, **k))
+        attack_fn = attack.unfair_map_batch
+        monkeypatch.setattr(attack, "unfair_map_batch", lambda *a, **k: calls.append(a[1]) or attack_fn(*a, **k))
         x, y = sim_dataset.features[:40], sim_dataset.labels[:40]
         rows = sim.robustness_experiment(unfair_sim_model, true_metric, [1e-2, 1e-4, 0.0], x, y, attack.sim_preset())
         assert len(calls) == 3 and calls[0] is true_metric
@@ -296,7 +296,7 @@ class TestRobustness:
         def no_attack(*args, **kwargs):
             raise AssertionError("attacked an empty ladder")
 
-        monkeypatch.setattr(sim, "unfair_map_batch", no_attack)
+        monkeypatch.setattr(attack, "unfair_map_batch", no_attack)
         x, y = sim_dataset.features[:40], sim_dataset.labels[:40]
         with pytest.raises(ValueError, match="^perturbation_scales must be non-empty$"):
             sim.robustness_experiment(unfair_sim_model, true_metric, [], x, y, attack.sim_preset())
@@ -427,7 +427,7 @@ class TestStackedSweep:
     def test_matches_per_cell_attacks(self, sim_dataset, true_metric, cfg):
         x, y = sim_dataset.features, sim_dataset.labels
         n_cells = len(self.GRID.w1_values) * len(self.GRID.w2_values)
-        assert n_cells * x.shape[0] > sim.SWEEP_ROW_BLOCK
+        assert len(attack.row_blocks(n_cells * x.shape[0], 2)) > 1
         got = sim.sweep_heatmap(x, y, self.GRID, true_metric, cfg)
         want = per_cell_sweep_reference(x, y, self.GRID, true_metric, cfg)
         assert [(c.theta1, c.theta2, c.fitted_bias, c.reject, c.divergent) for c in got] == [
@@ -465,7 +465,7 @@ class TestColumnwiseStackedLogistic:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_gradient_and_loss_match_einsum_formulas_bitwise(self, dim):
         rng = np.random.default_rng(dim)
-        for rows in (1, 7, sim.SWEEP_ROW_BLOCK, 5000):
+        for rows in (1, 7, 4096, 5000):
             w = rng.normal(scale=3.0, size=(rows, dim))
             b = rng.normal(scale=2.0, size=rows)
             x = rng.normal(scale=2.0, size=(rows, dim))
