@@ -23,7 +23,10 @@ as the centered covariance because the mean cross terms cancel exactly.
 All statistics are pure folds over per-sample values.  ``fold_ratios``
 forms every loss-ratio bound and ``error_rate_report`` the error-rates
 one; the other tests are views of these two.  The loss-ratio fold takes
-the last axis, so one call folds a stack of ratio samples.
+the last axis, so one call folds a stack of ratio samples, and it works
+through the stack in row blocks of about ``attack.BLOCK_BYTES`` of
+ratios, so it allocates one block whatever the stack's size.  The
+quantiles z_p come from Wichura's AS241 computed with ``math`` alone.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attack import AttackConfig, attack_rows
+from .attack import BLOCK_BYTES, AttackConfig, attack_rows
 from .attack import unfair_map_batch  # noqa: F401  bench/traced_cli.py wraps this name; ROADMAP item 14 moves it
 from .dataset import json_text
 from .fair_metric import FairMetric
@@ -47,14 +50,61 @@ class NoBaselineErrors(ValueError):
     """No original sample is misclassified, so the error-rates ratio is undefined; the CLI reports it as bad input."""
 
 
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF z_p, i.e. Phi(z_p) = p."""
-    # imported here: statistics loads decimal and fractions, which only this needs
-    import statistics
+# Wichura's AS241 (Applied Statistics 37(3), 1988), as CPython's statistics module spells it: a rational
+# function of r for each of three ranges of p, each numerator and denominator highest coefficient first
+_AS241_CENTRAL = (
+    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+     4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
+    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+     2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+     4.23133_30701_60091_1252e+1, 1.0),
+)
+_AS241_INTERMEDIATE = (
+    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2, 2.41780_72517_74506_11770e-1,
+     1.27045_82524_52368_38258e+0, 3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
+    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4, 1.51986_66563_61645_71966e-2,
+     1.48103_97642_74800_74590e-1, 6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+     2.05319_16266_37758_82187e+0, 1.0),
+)
+_AS241_TAIL = (
+    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5, 1.24266_09473_88078_43860e-3,
+     2.65321_89526_57612_30930e-2, 2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
+    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7, 1.84631_83175_10054_68180e-5,
+     7.86869_13114_56132_59100e-4, 1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+     5.99832_20655_58879_37690e-1, 1.0),
+)
 
+
+def _horner(coefficients, r: float) -> float:
+    acc = 0.0  # 0 * r + c is exactly c, so the first step leaves the leading coefficient
+    for c in coefficients:
+        acc = acc * r + c
+    return acc
+
+
+def normal_quantile(p: float) -> float:
+    """Inverse standard normal CDF z_p, i.e. Phi(z_p) = p.
+
+    Wichura's AS241 in the operation order of ``statistics.NormalDist().inv_cdf``, so it returns the
+    same bits with ``math`` alone (``statistics`` loads ``decimal`` and ``fractions``).
+    """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    return statistics.NormalDist().inv_cdf(p)
+    q = p - 0.5
+    if math.fabs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num, den = _AS241_CENTRAL
+        return _horner(num, r) * q / _horner(den, r)
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    if r <= 5.0:
+        (num, den), r = _AS241_INTERMEDIATE, r - 1.6
+    else:
+        (num, den), r = _AS241_TAIL, r - 5.0
+    x = _horner(num, r) / _horner(den, r)
+    return -x if q < 0.0 else x
 
 
 DEFAULT_ALPHA = 0.05
@@ -77,25 +127,39 @@ def _margin(spread: float, n: int, tail: float) -> float:
     return normal_quantile(1.0 - tail) * spread / math.sqrt(n)
 
 
-def _check_ratios(ratios) -> np.ndarray:
-    r = np.asarray(ratios, dtype=np.float64)
-    if r.ndim == 0 or r.shape[-1] < 2:
-        raise ValueError("need at least two ratio samples")
-    if not np.all(np.isfinite(r)) or np.any(r < 0):
-        raise ValueError("ratios must be finite and non-negative")
-    return r
-
-
 def loss_ratio_stats(ratios):
     """Sample mean S_n and standard deviation V_n (n-1 convention) of the ratios.
 
-    1-D ratios give floats; a ``(groups, n)`` stack gives ``(groups,)``
-    arrays whose row i is bitwise the fold of row i alone.
+    1-D ratios give floats; a ``(..., n)`` stack gives arrays of shape ``(...)``
+    whose entry i is bitwise the fold of row i alone.  The rows are folded
+    ``BLOCK_BYTES`` of ratios at a time (at least one row), each block checked
+    and centered in one reused buffer, so the fold allocates one block, not
+    a copy of the stack.
     """
-    r = _check_ratios(ratios)
-    s_n = np.mean(r, axis=-1)
-    v_n = np.sqrt(np.sum((r - s_n[..., None]) ** 2, axis=-1) / (r.shape[-1] - 1))
-    return (float(s_n), float(v_n)) if r.ndim == 1 else (s_n, v_n)
+    r = np.asarray(ratios)
+    if r.ndim == 0 or r.shape[-1] < 2:
+        raise ValueError("need at least two ratio samples")
+    n = r.shape[-1]
+    rows = r.reshape(-1, n)
+    s_n = np.empty(rows.shape[0])
+    v_n = np.empty(rows.shape[0])
+    step = max(1, BLOCK_BYTES // (8 * n))
+    buf = np.empty((min(step, rows.shape[0]), n))
+    for lo in range(0, rows.shape[0], step):
+        block = np.ascontiguousarray(rows[lo : lo + step], dtype=np.float64)
+        if not np.isfinite(block).all() or (block < 0).any():
+            raise ValueError("ratios must be finite and non-negative")
+        s, v, centered = s_n[lo : lo + step], v_n[lo : lo + step], buf[: block.shape[0]]
+        np.add.reduce(block, axis=-1, out=s)
+        s /= n
+        np.subtract(block, s[:, None], out=centered)
+        np.square(centered, out=centered)
+        np.add.reduce(centered, axis=-1, out=v)
+        v /= n - 1
+        np.sqrt(v, out=v)
+    if r.ndim == 1:
+        return float(s_n[0]), float(v_n[0])
+    return s_n.reshape(r.shape[:-1]), v_n.reshape(r.shape[:-1])
 
 
 class RatioFold(NamedTuple):

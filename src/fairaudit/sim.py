@@ -179,8 +179,9 @@ def sweep_heatmap(
 
     Every (cell, sample) pair is one row of a stacked state that
     ``attack.attack_blocks`` advances, building each row block's cells only
-    when it runs; a cell is divergent if any of its rows diverged.  The
-    other cells are folded as one stack.
+    when it runs; a cell is divergent if any of its rows diverged.  Every
+    cell's rows are folded where they lie, as one stack, and the divergent
+    cells are then set to NaN and not rejected.
     """
     x = np.asarray(features, dtype=np.float64)
     y = _check_labels(labels, len(x), scalar=False)
@@ -201,9 +202,9 @@ def sweep_heatmap(
     ):
         ratios[rows] = model.loss(attacked, y0) / model.loss(x0, y0)
         diverged[np.array(divergent, dtype=np.intp) // n] = True
-    t_n = np.full(len(pairs), np.nan)
-    reject = np.zeros(len(pairs), dtype=bool)
-    t_n[~diverged], reject[~diverged] = inference.loss_ratio_test(ratios.reshape(-1, n)[~diverged], alpha, delta)
+    # a divergent row is frozen inside the radius and its loss is clamped, so every cell folds
+    t_n, reject = inference.loss_ratio_test(ratios.reshape(-1, n), alpha, delta)
+    t_n[diverged], reject[diverged] = np.nan, False
     return [
         HeatmapCell(w1, w2, b, t, r, divergent=d)
         for (w1, w2), b, t, r, d in zip(pairs, biases, t_n.tolist(), reject.tolist(), diverged.tolist())

@@ -11,15 +11,18 @@ import pytest
 import fairaudit
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fairaudit.__file__)))
+# the standard library's statistics and the modules it imports
+STATISTICS = ("statistics", "decimal", "fractions")
 
 
 def test_cli_import_skips_modules_only_some_commands_need():
-    # statistics (normal quantiles) brings decimal and fractions and CSV ingest
-    # buffers rows in an array, each imported where it is used; no command
-    # needs concurrent.futures, as audits attack in one serial pass
+    # CSV ingest buffers rows in an array, imported where it is used; no command
+    # needs concurrent.futures, as audits attack in one serial pass, nor
+    # statistics and the decimal and fractions it brings, as normal quantiles
+    # are computed with math alone (test_commands_that_fold_ratios_load_no_statistics)
     code = (
-        "import sys, fairaudit.cli; "
-        "print(' '.join(m for m in ('decimal', 'fractions', 'concurrent.futures', 'array') if m in sys.modules))"
+        f"import sys, fairaudit.cli; STATISTICS = {STATISTICS!r}; "
+        "print(' '.join(m for m in STATISTICS + ('concurrent.futures', 'array') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -105,6 +108,10 @@ def cli_inputs(tmp_path_factory):
                   "report_output": str(d / "report.json")},
         "robustness": {**data, "model": str(d / "model.json"), "metric": str(d / "metric.json"), "num_steps": 5,
                        "scales": [0.5, 0.0], "output": str(d / "robustness.csv")},
+        "sweep": {**data, "num_steps": 5, "w1_min": -1.0, "w1_max": 1.0, "w1_step": 1.0, "w2_min": -1.0,
+                  "w2_max": 1.0, "w2_step": 1.0, "output": str(d / "heatmap.csv")},
+        "stopping-sweep": {**data, "model": str(d / "model.json"), "metric": str(d / "metric.json"),
+                           "horizons": [0.5, 1.0], "output": str(d / "stopping.csv")},
         "calibrate": {"n": 20, "coverage_replicates": 10, "replicates": 10, "output": str(d / "calibration.csv")},
     }
     for case, cfg in configs.items():
@@ -113,9 +120,13 @@ def cli_inputs(tmp_path_factory):
     return d
 
 
+# the cases that run a command with other keys than the case named after it
+VARIANTS = {"metric-learned": "metric", "train-projector": "train"}
+
+
 def _command(case: str) -> str:
-    """The command a case runs: its name up to the first ``-``."""
-    return case.split("-")[0]
+    """The command a case runs."""
+    return VARIANTS.get(case, case)
 
 
 # the modules each case loads beyond EAGER: a command loads a library module only when it calls it
@@ -134,6 +145,13 @@ OWN_MODULES = {
 def test_each_command_loads_only_its_own_modules(cli_inputs, case):
     loaded = _loaded_at_exit(RUN_CLI, _command(case), "--config", f"{case}.config.json", cwd=cli_inputs)
     assert loaded == sorted(EAGER + OWN_MODULES[case])
+
+
+@pytest.mark.parametrize("case", ["audit", "sweep", "stopping-sweep", "robustness", "calibrate"])
+def test_commands_that_fold_ratios_load_no_statistics(cli_inputs, case):
+    _, loaded = _run(RUN_CLI, _command(case), "--config", f"{case}.config.json", cwd=cli_inputs,
+                     at_exit=f"[m for m in {STATISTICS!r} if m in sys.modules]")
+    assert loaded == []
 
 
 # at exit: whether numpy.random is loaded, whether _hashlib is blocked, and whether OpenSSL's libcrypto is mapped

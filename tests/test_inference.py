@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from scipy.special import ndtri
 
 import helpers
 from fairaudit import attack, inference, sim
-from fairaudit.attack import AttackConfig, AttackTrace, audit_preset, sim_preset
+from fairaudit.attack import BLOCK_BYTES, AttackConfig, AttackTrace, audit_preset, sim_preset
 from fairaudit.fair_metric import FairMetric, rotated_coordinate_metric
 from fairaudit.inference import (
     NoBaselineErrors,
@@ -47,10 +50,28 @@ class TestNormalQuantile:
         for p in [1e-5, 0.1, 0.5, 0.9, 0.95, 1.0 - 1e-5]:
             assert normal_quantile(p) == pytest.approx(float(ndtri(p)), abs=1e-10)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
+    @pytest.mark.parametrize("p", [0.0, 1.0, float("nan"), -0.1, 1.1])
     def test_domain(self, p):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p must lie strictly inside \(0, 1\)$"):
             normal_quantile(p)
+
+    @staticmethod
+    def as241_branch(p):
+        """Which of AS241's three rational approximations covers p."""
+        if abs(p - 0.5) <= 0.425:
+            return "central"
+        return "intermediate" if math.sqrt(-math.log(min(p, 1.0 - p))) <= 5.0 else "tail"
+
+    def test_bitwise_equals_the_statistics_module(self):
+        # statistics is the reference here only: the package computes AS241 with math alone
+        levels = [1.0 - a for a in (0.01, 0.05, 0.1)] + [1.0 - a / 2.0 for a in (0.01, 0.05, 0.1)]
+        edges = [1e-300, 5e-324, 1.0 - 2.0**-53, 2.0**-53, 0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)]
+        grid = np.random.default_rng(27).random(20_000).tolist() + np.logspace(-300, -1, 2_000).tolist()
+        ps = levels + edges + grid + [1.0 - p for p in grid if 1.0 - p < 1.0]
+        assert {self.as241_branch(p) for p in levels + edges} == {"central", "intermediate", "tail"}
+        reference = statistics.NormalDist()
+        for p in ps:
+            assert normal_quantile(p) == reference.inv_cdf(p), p
 
 
 class TestLossRatioStats:
@@ -85,6 +106,12 @@ class TestLossRatioStats:
     def test_rejects_negative_ratios(self):
         with pytest.raises(ValueError, match="non-negative"):
             loss_ratio_stats([1.0, -0.1])
+
+
+def ones_but_last(shape, value):
+    stack = np.ones(shape)
+    stack[-1, -1] = value
+    return stack
 
 
 class TestStackedFold:
@@ -166,12 +193,70 @@ class TestStackedFold:
             (np.array([[1.0, 2.0], [1.0, -0.5]]), "non-negative"),
             (np.array([[1.0, 2.0], [np.inf, 1.0]]), "finite"),
             (np.array([[1.0, np.nan], [1.0, 2.0]]), "finite"),
+            # in the last of several row blocks only: blocks of 20, 1170 and 1 rows
+            (ones_but_last((45, 400), np.nan), "finite"),
+            (ones_but_last((2500, 7), np.inf), "finite"),
+            (ones_but_last((3, 10_000), -0.5), "non-negative"),
         ],
     )
     def test_bad_stack_raises(self, stack, match):
         for fold, args in [*self.FOLDS, (fold_ratios, (0.05,))]:
             with pytest.raises(ValueError, match=match):
                 fold(stack, *args)
+
+
+class TestBlockedFold:
+    """``loss_ratio_stats`` folds a stack BLOCK_BYTES of ratios at a time, with each row's bits unchanged."""
+
+    @staticmethod
+    def reference(row):
+        """The unblocked fold of one 1-D row: numpy's mean and centered sum of squares."""
+        s_n = np.mean(row)
+        return float(s_n), float(np.sqrt(np.sum((row - s_n) ** 2) / (row.shape[0] - 1)))
+
+    @staticmethod
+    def rows_per_block(n):
+        return max(1, BLOCK_BYTES // (8 * n))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (45, 400),  # blocks of 20, 20 and 5 rows
+            (2500, 7),  # blocks of 1170, 1170 and 160 rows
+            (3, 10_000),  # a row longer than a block: one row per block
+            (2, 100_001),
+            (4, 3, 50),
+        ],
+    )
+    def test_rows_bitwise_equal_their_unblocked_1d_fold(self, shape):
+        n = shape[-1]
+        stack = sim.RatioPopulation(mean=1.3, sd=0.2).sample(np.random.default_rng(n), shape)
+        rows = stack.size // n
+        assert rows > self.rows_per_block(n) or len(shape) > 2
+        s_n, v_n = loss_ratio_stats(stack)
+        assert s_n.shape == v_n.shape == shape[:-1]
+        for i in np.ndindex(shape[:-1]):
+            want = self.reference(stack[i])
+            assert (s_n[i], v_n[i]) == want
+            assert loss_ratio_stats(stack[i]) == want
+
+    def test_any_layout_folds_as_its_rows(self):
+        stack = sim.RatioPopulation(mean=1.3, sd=0.2).sample(np.random.default_rng(5), (600, 90))
+        s_n, v_n = loss_ratio_stats(np.asfortranarray(stack))
+        assert [(s, v) for s, v in zip(s_n.tolist(), v_n.tolist())] == [self.reference(row) for row in stack]
+
+    def test_folding_a_large_stack_allocates_about_one_block(self):
+        stack = sim.RatioPopulation(mean=1.3, sd=0.2).sample(np.random.default_rng(2000), (2000, 500))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss_ratio_stats(stack)
+            raised = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the stack is 8 MB; an unblocked fold holds a centered copy of it
+        assert raised < 1_000_000
 
 
 class TestTwoSidedCi:
