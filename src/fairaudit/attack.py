@@ -41,6 +41,12 @@ in the row blocks of ``row_blocks``, which never cuts a block below
 ``BLOCK_FLOOR`` rows unless the whole batch has fewer, and cuts only at
 multiples of ``BLOCK_ALIGN`` rows, so a blocked attack gives the bits of
 one state of all rows.  ``unfair_map`` is Phi on a batch of one.
+
+A blocked 1000x40 audit of 500 steps makes 2500 kernel steps, so the kernel
+checks its inputs once per call, not once per step: the starts, the labels,
+and the metric's and the model's widths, before the first step.  Each step
+is then only arithmetic in the call's own buffers, on the model's unchecked
+gradient core.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import numpy as np
 
 from .fair_metric import FairMetric
 from .linalg import fields_equal
+from .models import _step_gradient
 
 DIVERGENCE_RADIUS = 1e6
 # a row block's state holds at most about this many bytes: 4096 rows at d = 2 and 204 rows at d = 40
@@ -175,7 +182,8 @@ def flow_field(model, metric: FairMetric, lam: float, x, x0, y, out=None):
     ``out``, if given, is an array of the field's shape that receives g(x)
     and is returned.  The array the model's gradient returns is only read.
     The penalty is formed first, so its temporaries are freed before the
-    model allocates its gradient.
+    model allocates its gradient.  ``unfair_map_batch`` forms the same field
+    with the same operations, its inputs checked once per call.
     """
     penalty = metric.distance_sq_gradient(x, x0, out=out)
     penalty *= lam
@@ -221,12 +229,21 @@ def unfair_map_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_d
 
     The state, the field and the displacement live in ``(n, d)`` buffers
     allocated once per call, so a step allocates nothing of that size but
-    the model's gradient and the metric's difference ``x - x0``.  The
-    returned ``x_final`` is one of these buffers.  This is the one check of
-    attack inputs: a non-finite ``x0``, or shapes other than ``(n, d)`` and
-    ``(n,)``, raise a ``ValueError`` naming them.
+    the model's gradient.  The returned ``x_final`` is one of these buffers.
+
+    Every input is checked once, here, before ``on_step`` first runs: a
+    non-finite ``x0``, or shapes other than ``(n, d)`` and ``(n,)``, raise a
+    ``ValueError`` naming them, and so do a metric or a model of another
+    width than ``x0`` and labels other than 0/1 for a ``LogisticModel`` or
+    ``MlpModel``, with the messages their public methods give.  The steps
+    are then arithmetic: each forms the field as ``flow_field`` does, with
+    the same operations in the same order and so the same bits, but the
+    penalty 2 (x - x0) Sigma goes through the displacement buffer and the
+    model's gradient through its unchecked core (``models._step_gradient``).
     """
     x0, y = _checked_batch(x0, y)
+    metric._check_points(x0, x0)
+    gradient = _step_gradient(model, x0, y)
     # the workspace: two states swapped every step, the field, the displacement
     x = x0.copy()
     x_next = np.empty(x0.shape)
@@ -242,7 +259,12 @@ def unfair_map_batch(model, metric: FairMetric, cfg: AttackConfig, x0, y, skip_d
     # overflow in a diverging row is detected below, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         for k, eta in enumerate(cfg.step_sizes(), start=1):
-            g = flow_field(model, metric, cfg.lam, x, x0, y, out=field)
+            # flow_field's operations: the penalty lam 2 (x - x0) Sigma first, then the model's gradient
+            np.subtract(x, x0, out=moved)
+            moved *= 2.0
+            g = np.matmul(moved, metric.sigma, out=field)
+            g *= cfg.lam
+            np.subtract(gradient(x), g, out=g)
             g *= eta
             np.add(g, x, out=x_next)
             np.subtract(x_next, x0, out=moved)

@@ -10,6 +10,11 @@ attributes).
 Metrics are stored as explicit dense matrices rather than factored forms:
 dimensions here are small and explicit matrices make misspecification-gap
 computations direct.  Instances are immutable and evaluation is pure.
+
+``distance_sq`` and ``distance_sq_gradient`` check their batches' shapes on
+every call.  The attack checks its starts once with ``_check_points`` and
+then forms the penalty gradient 2 (x - x0) Sigma from ``sigma`` in its own
+buffers, with the same operations and so the same bits.
 """
 
 from __future__ import annotations
@@ -69,11 +74,17 @@ class FairMetric:
     def dim(self) -> int:
         return self.sigma.shape[0]
 
-    def _deltas(self, x1, x2):
+    def _check_points(self, x1, x2) -> tuple[np.ndarray, np.ndarray]:
+        """``x1`` and ``x2`` as float arrays, or a ``ValueError`` naming their shapes unless both are
+        ``(n, dim)`` batches."""
         a = np.asarray(x1, dtype=np.float64)
         b = np.asarray(x2, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != self.dim or b.shape[1] != self.dim:
             raise ValueError(f"points must be (n, {self.dim}) batches of dimension {self.dim}, got {a.shape} and {b.shape}")
+        return a, b
+
+    def _deltas(self, x1, x2):
+        a, b = self._check_points(x1, x2)
         return a - b
 
     def distance_sq(self, x1, x2):

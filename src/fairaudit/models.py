@@ -16,6 +16,12 @@ shape ``(n, d)``:
 Any object implementing this triple can be attacked and audited; the test
 suite uses small analytic stubs through the same interface.
 
+Each public method checks its batch's shape and its labels on every call.
+The attack calls the gradient hundreds of times on the same rows, so
+``LogisticModel`` and ``MlpModel`` keep the arithmetic in an unchecked
+``_input_gradient`` core, which ``input_gradient`` wraps with the checks;
+``_step_gradient`` checks an attack's inputs once and hands it the core.
+
 Models are immutable after training and evaluation is pure, so instances
 may be shared across threads.  An optional projector ``P`` is applied as
 ``x -> P x`` before every forward and gradient evaluation; training with a
@@ -165,22 +171,24 @@ class LogisticModel:
     def dim(self) -> int:
         return self.weights.shape[0]
 
-    def _logits(self, x):
-        xb = _as_batch(x, self.dim)
+    def _logits(self, xb):
         if self.projector is not None:
             xb = xb @ self.projector
         return xb @ self.weights + self.bias
 
     def predict_proba(self, x):
-        return expit(self._logits(x))
+        return expit(self._logits(_as_batch(x, self.dim)))
 
     def loss(self, x, y):
-        z = self._logits(x)
-        return loss_from_logit(z, _check_labels(y, len(z)))
+        xb = _as_batch(x, self.dim)
+        return loss_from_logit(self._logits(xb), _check_labels(y, len(xb)))
 
     def input_gradient(self, x, y):
-        z = self._logits(x)
-        return (expit(z) - _check_labels(y, len(z)))[:, None] * self._logit_gradient[None, :]
+        xb = _as_batch(x, self.dim)
+        return self._input_gradient(xb, _check_labels(y, len(xb)))
+
+    def _input_gradient(self, xb, y):
+        return (expit(self._logits(xb)) - y)[:, None] * self._logit_gradient[None, :]
 
     def to_dict(self) -> dict:
         return _model_dict(self, "logistic")
@@ -215,8 +223,7 @@ class MlpModel:
     def dim(self) -> int:
         return self.layer1_weights.shape[1]
 
-    def _forward(self, x):
-        xb = _as_batch(x, self.dim)
+    def _forward(self, xb):
         if self.projector is not None:
             xb = xb @ self.projector
         act, _ = _ACTIVATIONS[self.activation]
@@ -227,14 +234,18 @@ class MlpModel:
         return z, z1, a
 
     def predict_proba(self, x):
-        return expit(self._forward(x)[0])
+        return expit(self._forward(_as_batch(x, self.dim))[0])
 
     def loss(self, x, y):
-        z = self._forward(x)[0]
-        return loss_from_logit(z, _check_labels(y, len(z)))
+        xb = _as_batch(x, self.dim)
+        return loss_from_logit(self._forward(xb)[0], _check_labels(y, len(xb)))
 
     def input_gradient(self, x, y):
-        z, z1, a = self._forward(x)
+        xb = _as_batch(x, self.dim)
+        return self._input_gradient(xb, _check_labels(y, len(xb)))
+
+    def _input_gradient(self, xb, y):
+        z, z1, a = self._forward(xb)
         _, slope = _ACTIVATIONS[self.activation]
         p = expit(z)
         # d logit / d x' = (act'(z1) * w2) @ W1, then chain through the projector
@@ -246,11 +257,25 @@ class MlpModel:
         grad = hidden @ self.layer1_weights
         if self.projector is not None:
             grad = grad @ self.projector
-        grad *= (p - _check_labels(y, len(z)))[:, None]
+        grad *= (p - y)[:, None]
         return grad
 
     def to_dict(self) -> dict:
         return _model_dict(self, "mlp")
+
+
+def _step_gradient(model, x0, y):
+    """The attack's per-step gradient ``x -> model.input_gradient(x, y)`` for the starts ``x0``.
+
+    A ``LogisticModel`` or ``MlpModel`` has its batch width and its 0/1 labels checked here, once, with
+    ``input_gradient``'s messages, and each step calls its unchecked ``_input_gradient``: the attack's
+    states keep the float ``(n, dim)`` shape of ``x0``.  Any other model's ``input_gradient`` runs as it is.
+    """
+    if not isinstance(model, (LogisticModel, MlpModel)):
+        return lambda x: model.input_gradient(x, y)
+    labels = _check_labels(y, len(_as_batch(x0, model.dim)))
+    core = model._input_gradient
+    return lambda x: core(x, labels)
 
 
 def model_from_dict(doc: dict):
@@ -328,13 +353,13 @@ def train(features, labels, architecture: str = "logistic", cfg: TrainConfig = T
     y = _check_labels(labels, len(x), scalar=False)
     n, d = x.shape
 
+    # without class_reweight every weight is 1.0, and x * 1.0 is x, so no weights are kept
+    sample_weight = None
     if cfg.class_reweight:
         n_pos = int(np.sum(y == 1.0))
         if n_pos == 0 or n_pos == n:
             raise ValueError("class_reweight requires both classes in the training data")
         sample_weight = np.where(y == 1.0, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
-    else:
-        sample_weight = np.ones(n)
 
     proj = cfg.preprocess_projector
     if proj is not None:
@@ -365,25 +390,31 @@ def train(features, labels, architecture: str = "logistic", cfg: TrainConfig = T
             pos = 0
         idx = order[pos : pos + cfg.batch_size]
         pos += cfg.batch_size
-        xb, yb, wb = x[idx], y[idx], sample_weight[idx]
+        xb, m = x[idx], len(idx)
 
+        # err = w * (expit(z) - y), formed in place; the means below are np.mean's sum and division
         if architecture == "logistic":
-            z = xb @ params["w"] + params["b"]
-            err = wb * (expit(z) - yb)
-            params["w"] -= cfg.learning_rate * (xb.T @ err) / len(idx)
-            params["b"] -= cfg.learning_rate * float(np.mean(err))
+            err = expit(xb @ params["w"] + params["b"])
         else:
             z1 = xb @ params["w1"].T + params["b1"]
             a = act(z1)
-            z = a @ params["w2"] + params["b2"]
-            err = wb * (expit(z) - yb)
+            err = expit(a @ params["w2"] + params["b2"])
+        err -= y[idx]
+        if sample_weight is not None:
+            err *= sample_weight[idx]
+        err_mean = float(np.add.reduce(err)) / m
+
+        if architecture == "logistic":
+            params["w"] -= cfg.learning_rate * (xb.T @ err) / m
+            params["b"] -= cfg.learning_rate * err_mean
+        else:
             # slope() may overwrite a, so a's own gradient term comes first
             grad_w2 = a.T @ err
             dz1 = (err[:, None] * params["w2"][None, :]) * slope(z1, a)
-            params["w2"] -= cfg.learning_rate * grad_w2 / len(idx)
-            params["b2"] -= cfg.learning_rate * float(np.mean(err))
-            params["w1"] -= cfg.learning_rate * (dz1.T @ xb) / len(idx)
-            params["b1"] -= cfg.learning_rate * np.mean(dz1, axis=0)
+            params["w2"] -= cfg.learning_rate * grad_w2 / m
+            params["b2"] -= cfg.learning_rate * err_mean
+            params["w1"] -= cfg.learning_rate * (dz1.T @ xb) / m
+            params["b1"] -= cfg.learning_rate * (np.add.reduce(dz1, axis=0) / m)
 
     if architecture == "logistic":
         return LogisticModel(weights=params["w"], bias=float(params["b"]), projector=proj)

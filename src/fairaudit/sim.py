@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import inference
-from .attack import AttackConfig, attack_blocks, attack_rows, audit_preset, constant_config_for_horizon
+from .attack import BLOCK_BYTES, AttackConfig, attack_blocks, attack_rows, audit_preset, constant_config_for_horizon
 from .attack import unfair_map_batch  # noqa: F401  bench/traced_cli.py wraps this name; ROADMAP item 14 moves it
 from .fair_metric import FairMetric
 from .linalg import fields_equal, spectral_norm
@@ -237,11 +237,13 @@ def stopping_time_sweep(
     y = np.asarray(labels, dtype=np.float64)
     cfgs = [constant_config_for_horizon(lam, h, eta) for h in hs]
     counts = np.array([c.num_steps for c in cfgs])
+    # the observer runs on every step of every block, so it tests the step count against a set
+    kept = set(counts.tolist())
     base = model.loss(x, y)
     ratios = np.empty((len(cfgs), x.shape[0]))
 
     def at_horizons(k, xk, rows):
-        if k in counts:
+        if k in kept:
             ratios[counts == k, rows] = model.loss(xk, y[rows]) / base[rows]
 
     attack_rows(model, metric, cfgs[-1], x, y, on_step=at_horizons)
@@ -409,6 +411,17 @@ class CalibrationResult(NamedTuple):
     rate: float
 
 
+def _sample_blocks(pop: RatioPopulation, rng: np.random.Generator, replicates: int, n: int):
+    """The ``(replicates, n)`` sample of ``pop`` from ``rng``, drawn in order as blocks of about ``BLOCK_BYTES``.
+
+    Each block holds at least one replicate.  The generator draws the same stream in pieces as at once, so
+    the blocks stacked are bitwise the one ``(replicates, n)`` draw.
+    """
+    step = max(1, BLOCK_BYTES // (8 * n))
+    for lo in range(0, replicates, step):
+        yield pop.sample(rng, (min(step, replicates - lo), n))
+
+
 def coverage_experiment(
     pop: RatioPopulation,
     n: int = CalibrationSpec.n,
@@ -418,15 +431,18 @@ def coverage_experiment(
 ) -> tuple[CalibrationResult, float]:
     """Fraction of two-sided intervals covering the oracle mean.
 
-    The ``(replicates, n)`` sample is drawn and folded at once; each row is
-    bitwise the replicate a loop of ``n`` draws per interval would give.
+    The ``(replicates, n)`` sample is drawn and folded a block at a time
+    (``_sample_blocks``); each row is bitwise the replicate a loop of ``n``
+    draws per interval would give.
     """
     if replicates < 1:
         raise ValueError(f"coverage replicates must be at least 1, got {replicates!r}")
     ss = np.random.SeedSequence(seed).spawn(2)
     target = oracle_mean(pop, seed=int(ss[0].generate_state(1)[0]))
-    lo, hi = inference.two_sided_ci(pop.sample(np.random.default_rng(ss[1]), (replicates, n)), alpha)
-    hits = int(np.count_nonzero((lo <= target) & (target <= hi)))
+    hits = 0
+    for block in _sample_blocks(pop, np.random.default_rng(ss[1]), replicates, n):
+        lo, hi = inference.two_sided_ci(block, alpha)
+        hits += int(np.count_nonzero((lo <= target) & (target <= hi)))
     return CalibrationResult("coverage", n, replicates, hits / replicates), target
 
 
@@ -442,8 +458,10 @@ def rejection_rate_experiment(
     """Fraction of replicates on which the one-sided test rejects at ``delta``, folded like ``coverage_experiment``."""
     if replicates < 1:
         raise ValueError(f"{name} replicates must be at least 1, got {replicates!r}")
-    _, reject = inference.loss_ratio_test(pop.sample(np.random.default_rng(seed), (replicates, n)), alpha, delta)
-    return CalibrationResult(name, n, replicates, int(np.count_nonzero(reject)) / replicates)
+    rejects = 0
+    for block in _sample_blocks(pop, np.random.default_rng(seed), replicates, n):
+        rejects += int(np.count_nonzero(inference.loss_ratio_test(block, alpha, delta)[1]))
+    return CalibrationResult(name, n, replicates, rejects / replicates)
 
 
 def calibrate(

@@ -908,3 +908,99 @@ class TestRowBlocks:
             attack_rows(RateStub(), FairMetric(sigma=np.eye(40)), BLOCKED_CFG, x0, np.zeros(600))
         with pytest.raises(ValueError, match=r"got shapes \(600, 40\) and \(599,\)"):
             attack_rows(RateStub(), FairMetric(sigma=np.eye(40)), BLOCKED_CFG, np.zeros((600, 40)), np.zeros(599))
+
+
+def _dense_projector(rng, dim, k=2):
+    """The symmetric projector off ``k`` random directions, as a learned metric or a projected model has."""
+    u = rng.normal(size=(dim, k))
+    proj = np.eye(dim) - u @ np.linalg.solve(u.T @ u, u.T)
+    return 0.5 * (proj + proj.T)
+
+
+def _audit_models():
+    """A logistic, a tanh MLP and a softplus MLP on 40 features, each with and without a projector."""
+    rng = np.random.default_rng(28)
+    dim, hidden = 40, 50
+    proj = _dense_projector(rng, dim)
+    out = {}
+    for tag, p in (("", None), ("-projected", proj)):
+        out[f"logistic{tag}"] = LogisticModel(weights=rng.normal(scale=0.3, size=dim), bias=0.1, projector=p)
+        for activation in ("tanh", "softplus"):
+            out[f"mlp-{activation}{tag}"] = MlpModel(
+                layer1_weights=rng.normal(scale=dim**-0.5, size=(hidden, dim)),
+                layer1_bias=rng.normal(scale=0.1, size=hidden),
+                layer2_weights=rng.normal(size=hidden),
+                layer2_bias=0.2,
+                activation=activation,
+                projector=p,
+            )
+    return out
+
+
+AUDIT_MODELS = _audit_models()
+
+
+class TestChecksOncePerCall:
+    """The kernel checks its inputs once per call; its steps run the models' unchecked cores."""
+
+    X, Y = BLOCKED_X[:1000], BLOCKED_Y[:1000]
+    METRIC = FairMetric(sigma=_dense_projector(np.random.default_rng(29), 40))
+
+    @pytest.mark.parametrize("name", sorted(AUDIT_MODELS))
+    def test_blocks_match_the_public_methods_loop_bitwise(self, name):
+        model = AUDIT_MODELS[name]
+        cfg = AttackConfig(lam=50.0, num_steps=60)
+        out, divergent = attack_rows(model, self.METRIC, cfg, self.X, self.Y)
+        assert divergent == []
+        assert len(row_blocks(*self.X.shape)) == 5
+        for rows in row_blocks(*self.X.shape):
+            ref, ref_divergent = reference_euler(model, self.METRIC, cfg, self.X[rows], self.Y[rows])
+            assert ref_divergent == []
+            assert_array_equal(out[rows], ref)
+        assert not np.array_equal(out, self.X)
+
+    def test_label_and_shape_checks_run_once_per_kernel_call(self, monkeypatch):
+        from fairaudit import fair_metric, models
+
+        counts = dict.fromkeys(["kernel", "_check_labels", "_as_batch", "_check_points", "_deltas"], 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(attack_module, "unfair_map_batch", counting("kernel", unfair_map_batch))
+        for name in ("_check_labels", "_as_batch"):
+            monkeypatch.setattr(models, name, counting(name, getattr(models, name)))
+        for name in ("_check_points", "_deltas"):
+            monkeypatch.setattr(fair_metric.FairMetric, name, counting(name, getattr(fair_metric.FairMetric, name)))
+        out, _ = attack_rows(AUDIT_MODELS["logistic"], self.METRIC, audit_preset(), self.X, self.Y)
+        assert counts == {"kernel": 5, "_check_labels": 5, "_as_batch": 5, "_check_points": 5, "_deltas": 0}
+        counts.update(dict.fromkeys(counts, 0))
+        ref, _ = reference_euler(AUDIT_MODELS["logistic"], self.METRIC, audit_preset(), self.X[:192], self.Y[:192])
+        # the public methods check on every step
+        assert counts["_check_labels"] == counts["_deltas"] == audit_preset().num_steps
+        assert_array_equal(out[:192], ref)
+
+    @pytest.mark.parametrize("name", ["logistic", "mlp-tanh"])
+    @pytest.mark.parametrize("case", ["labels", "metric-width", "model-width"])
+    def test_bad_inputs_raise_the_public_message_before_any_step(self, name, case):
+        model, metric, x0, y = AUDIT_MODELS[name], self.METRIC, self.X[:100], self.Y[:100].copy()
+        if case == "labels":
+            y[7] = 0.5
+            public = lambda: model.input_gradient(x0, y)  # noqa: E731
+        elif case == "metric-width":
+            metric = FairMetric(sigma=np.eye(39))
+            public = lambda: metric.distance_sq_gradient(x0, x0)  # noqa: E731
+        else:
+            x0 = np.hstack([x0, x0[:, :1]])
+            metric = FairMetric(sigma=np.eye(41))
+            public = lambda: model.input_gradient(x0, y)  # noqa: E731
+        with pytest.raises(ValueError) as expected:
+            public()
+        with pytest.raises(ValueError) as got:
+            attack_rows(model, metric, audit_preset(), x0, y, on_step=lambda k, x, rows: pytest.fail("a step ran"))
+        assert str(got.value) == str(expected.value)
+        assert ("labels must be 0 or 1" in str(got.value)) == (case == "labels")

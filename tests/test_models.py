@@ -440,3 +440,67 @@ class TestEquality:
         assert TrainConfig(preprocess_projector=np.eye(2)) != TrainConfig()
         with pytest.raises(TypeError):
             hash(TrainConfig())
+
+
+def reference_train(x, y, architecture, cfg):
+    """The trainer as a plain loop: ``np.mean`` and ``w * (expit(z) - y)`` with all-ones weights when unweighted."""
+    n, d = x.shape
+    y = y.astype(float)
+    if cfg.class_reweight:
+        n_pos = int(np.sum(y == 1.0))
+        weight = np.where(y == 1.0, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
+    else:
+        weight = np.ones(n)
+    rng = np.random.default_rng(cfg.seed)
+    if architecture == "logistic":
+        w, b = np.zeros(d), 0.0
+    else:
+        h = cfg.hidden_units
+        w1, b1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d)), np.zeros(h)
+        w2, b2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=h), 0.0
+        act = np.tanh if cfg.activation == "tanh" else lambda z: np.logaddexp(0.0, z)
+        slope = (lambda z: 1.0 - np.tanh(z) ** 2) if cfg.activation == "tanh" else expit
+    order, pos = np.arange(n), n
+    for _ in range(cfg.num_steps):
+        if pos + cfg.batch_size > n:
+            order, pos = rng.permutation(n), 0
+        idx = order[pos : pos + cfg.batch_size]
+        pos += cfg.batch_size
+        xb, yb, wb = x[idx], y[idx], weight[idx]
+        if architecture == "logistic":
+            err = wb * (expit(xb @ w + b) - yb)
+            w -= cfg.learning_rate * (xb.T @ err) / len(idx)
+            b -= cfg.learning_rate * float(np.mean(err))
+        else:
+            z1 = xb @ w1.T + b1
+            a = act(z1)
+            err = wb * (expit(a @ w2 + b2) - yb)
+            dz1 = (err[:, None] * w2[None, :]) * slope(z1)
+            w2 -= cfg.learning_rate * (a.T @ err) / len(idx)
+            b2 -= cfg.learning_rate * float(np.mean(err))
+            w1 -= cfg.learning_rate * (dz1.T @ xb) / len(idx)
+            b1 -= cfg.learning_rate * np.mean(dz1, axis=0)
+    if architecture == "logistic":
+        return LogisticModel(weights=w, bias=b)
+    return MlpModel(layer1_weights=w1, layer1_bias=b1, layer2_weights=w2, layer2_bias=b2, activation=cfg.activation)
+
+
+class TestTrainerMatchesPlainLoop:
+    """The trainer's in-place error, skipped unit weights and reduce-then-divide means change no bit."""
+
+    @pytest.mark.parametrize(
+        "architecture, activation, reweight",
+        [("logistic", "tanh", False), ("logistic", "tanh", True), ("mlp", "tanh", False), ("mlp", "tanh", True),
+         ("mlp", "softplus", False), ("mlp", "softplus", True)],
+    )
+    @pytest.mark.parametrize("rows", [300, 40], ids=["batches", "short-data"])
+    def test_bitwise_equal(self, architecture, activation, reweight, rows):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(rows, 7))
+        y = (x[:, 0] + 0.5 * rng.normal(size=rows) > 0.6).astype(int)
+        cfg = TrainConfig(
+            learning_rate=0.3, batch_size=64, num_steps=150, class_reweight=reweight, seed=5, hidden_units=9,
+            activation=activation,
+        )
+        got, want = train(x, y, architecture, cfg), reference_train(x, y, architecture, cfg)
+        assert got == want

@@ -386,6 +386,27 @@ class TestCalibrationHelpers:
         )
         assert strong.rate >= 0.99
 
+    @pytest.mark.parametrize("n, replicates", [(500, 100), (300, 1), (9000, 3)], ids=["16-row-blocks", "one-row", "wide"])
+    def test_blocked_experiments_equal_one_draw_and_one_fold(self, n, replicates, monkeypatch):
+        pop = sim.RatioPopulation(mean=2.0)
+        ss = np.random.SeedSequence(4).spawn(2)
+        whole = pop.sample(np.random.default_rng(ss[1]), (replicates, n))
+        lo, hi = inference.two_sided_ci(whole, 0.05)
+        null = sim.RatioPopulation(mean=1.25)
+        reject = inference.loss_ratio_test(null.sample(np.random.default_rng(5), (replicates, n)), 0.05, 1.25)[1]
+        drawn = []
+        sample = sim.RatioPopulation.sample
+        monkeypatch.setattr(sim.RatioPopulation, "sample", lambda *a: drawn.append(sample(*a)) or drawn[-1])
+        cov, target = sim.coverage_experiment(pop, n=n, replicates=replicates, seed=4)
+        blocks = [b for b in drawn if b.shape != (10**6,)]
+        assert_array_equal(np.concatenate(blocks), whole)
+        assert len(blocks) == -(-replicates // max(1, attack.BLOCK_BYTES // (8 * n)))
+        assert all(b.nbytes <= max(attack.BLOCK_BYTES, 8 * n) for b in blocks)
+        assert cov.rate == np.count_nonzero((lo <= target) & (target <= hi)) / replicates
+        assert sim.rejection_rate_experiment(null, 1.25, n=n, replicates=replicates, seed=5).rate == (
+            np.count_nonzero(reject) / replicates
+        )
+
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_replicate_counts_must_be_positive(self, replicates):
         pop = sim.RatioPopulation(mean=2.0)
